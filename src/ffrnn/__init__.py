@@ -31,7 +31,6 @@ from .model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    step,
 )
 from .task import (
     Dataset,

@@ -102,21 +102,6 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
-def step(params: RnnParams, config: ModelConfig, h: np.ndarray,
-         x: np.ndarray) -> np.ndarray:
-    """Single Euler update of the hidden state."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_shapes(params, config)
-    if h.shape != (config.n_units,):
-        raise ValueError(f"state has shape {h.shape}, expected ({config.n_units},)")
-    if x.shape != (config.n_in,):
-        raise ValueError(f"input has shape {x.shape}, expected ({config.n_in},)")
-    a = params.w_rec @ h + params.w_in @ x + params.b_rec
-    alpha = config.alpha
-    return (1.0 - alpha) * h + alpha * np.tanh(a)
-
-
 def forward(params: RnnParams, config: ModelConfig, inputs: np.ndarray,
             h0: np.ndarray | None = None) -> ActivityTrace:
     """Run the full sequence, recording every hidden state and readout."""
@@ -129,35 +114,63 @@ def forward(params: RnnParams, config: ModelConfig, inputs: np.ndarray,
     return ActivityTrace(h[0], h0_arr, z[0])
 
 
+def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
+                h0: np.ndarray):
+    """The recurrence over a [batch, t_steps, n_in] tensor, time-major.
+
+    Returns (hs, ss): hs is [t_steps + 1, batch, n_units] with hs[0] = h0 and
+    hs[t + 1] the state after step t; ss is [t_steps, batch, n_units] with
+    ss[t] = tanh(a_t). At alpha = 1 the state is tanh(a_t) itself and ss is
+    the view hs[1:]. Values are not checked for finiteness here.
+    """
+    batch, t_steps, n_in = x.shape
+    n = config.n_units
+    alpha = config.alpha
+    hs = np.empty((t_steps + 1, batch, n))
+    hs[0] = h0
+    ss = hs[1:] if alpha == 1.0 else np.empty((t_steps, batch, n))
+    drive = x.transpose(1, 0, 2).reshape(-1, n_in) @ params.w_in.T
+    drive += params.b_rec
+    drive = drive.reshape(t_steps, batch, n)
+    w_rec_t = params.w_rec.T
+    a = np.empty((batch, n))
+    for t in range(t_steps):
+        np.matmul(hs[t], w_rec_t, out=a)
+        a += drive[t]
+        np.tanh(a, out=ss[t])
+        if alpha != 1.0:
+            np.multiply(hs[t], 1.0 - alpha, out=hs[t + 1])
+            np.multiply(ss[t], alpha, out=a)
+            hs[t + 1] += a
+    return hs, ss
+
+
 def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray,
                   h0: np.ndarray | None = None):
     """Forward over a [batch, t_steps, n_in] tensor.
 
     Returns (h, z) with shapes [batch, t_steps, n_units] and
-    [batch, t_steps, n_out]. Batch elements are independent.
+    [batch, t_steps, n_out]. Batch elements are independent. The recurrence
+    runs time-major, so h and z are transposed views of time-major buffers,
+    not contiguous arrays. Non-finite values are returned as they are;
+    ``training.bptt_gradients`` checks finiteness once per batch.
     """
     _check_shapes(params, config)
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != config.n_in:
         raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
-    batch, t_steps, _ = x.shape
     if h0 is None:
         h0 = np.zeros(config.n_units)
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (config.n_units,):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({config.n_units},)")
 
-    alpha = config.alpha
-    hs = np.empty((batch, t_steps, config.n_units))
-    drive = x.reshape(-1, config.n_in) @ params.w_in.T + params.b_rec
-    drive = drive.reshape(batch, t_steps, config.n_units)
-    h = np.broadcast_to(h0, (batch, config.n_units)).copy()
-    for t in range(t_steps):
-        a = h @ params.w_rec.T + drive[:, t]
-        h = (1.0 - alpha) * h + alpha * np.tanh(a)
-        hs[:, t] = h
-    zs = hs.reshape(-1, config.n_units) @ params.w_out.T + params.b_out
-    return hs, zs.reshape(batch, t_steps, config.n_out)
+    batch, t_steps, _ = x.shape
+    hs, _ = _recurrence(params, config, x, h0)
+    z = hs[1:].reshape(-1, config.n_units) @ params.w_out.T
+    z += params.b_out
+    z = z.reshape(t_steps, batch, config.n_out)
+    return hs[1:].transpose(1, 0, 2), z.transpose(1, 0, 2)
 
 
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,

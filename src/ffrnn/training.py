@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SeededRng
-from .model import ModelConfig, RnnParams, batch_forward
+from .model import ModelConfig, RnnParams, _recurrence, batch_forward
 from .task import Dataset, Trial
 
 PARAM_KEYS = ("w_in", "w_rec", "w_out", "b_rec", "b_out")
@@ -115,10 +115,14 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
                    batch_x: np.ndarray, batch_y: np.ndarray):
     """Exact loss gradients over a batch by reverse accumulation.
 
-    Unrolls the recurrence, then walks it backwards: the hidden-state
-    sensitivity at step t collects the readout error at t, the leak path
-    (1 - alpha) from t+1, and the recurrent path through tanh'. Returns
-    (grads, batch_loss) where grads mirrors RnnParams.
+    Unrolls the recurrence with the time-major kernel that ``batch_forward``
+    also runs and checks finiteness once per batch, after the loop: a
+    DivergenceError names the first step with a non-finite activation. Then
+    walks the steps backwards: the hidden-state sensitivity at step t
+    collects the readout error at t, the leak path (1 - alpha) from t+1, and
+    the recurrent path through tanh'. Every state is read in place from the
+    kernel's buffer, h_{t-1} included. Returns (grads, batch_loss) where
+    grads mirrors RnnParams.
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -132,55 +136,52 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     n = config.n_units
     alpha = config.alpha
 
-    # forward pass, keeping both h_t and s_t = tanh(a_t)
-    hs = np.empty((batch, t_steps, n))
-    ss = np.empty((batch, t_steps, n))
-    drive = batch_x.reshape(-1, config.n_in) @ params.w_in.T + params.b_rec
-    drive = drive.reshape(batch, t_steps, n)
-    h = np.zeros((batch, n))
-    for t in range(t_steps):
-        s = np.tanh(h @ params.w_rec.T + drive[:, t])
-        if not np.isfinite(s).all():
-            raise DivergenceError(f"non-finite activations at step {t}")
-        h = (1.0 - alpha) * h + alpha * s
-        hs[:, t] = h
-        ss[:, t] = s
+    # forward pass: hs_full[t + 1] = h_t after step t, ss[t] = tanh(a_t)
+    hs_full, ss = _recurrence(params, config, batch_x, np.zeros(n))
 
-    zs = hs.reshape(-1, n) @ params.w_out.T + params.b_out
-    zs = zs.reshape(batch, t_steps, config.n_out)
-    err = zs - batch_y
+    # rows are (t, batch) pairs in time-major order
+    hs = hs_full[1:].reshape(-1, n)
+    err = hs @ params.w_out.T
+    err += params.b_out
+    err -= batch_y.transpose(1, 0, 2).reshape(-1, config.n_out)
     batch_loss = float(np.mean(err ** 2))
+    # tanh is bounded, so a non-finite activation always makes the loss
+    # non-finite; only then are the steps scanned for the first bad one
+    if not np.isfinite(batch_loss):
+        finite = np.isfinite(ss).all(axis=(1, 2))
+        if not finite.all():
+            raise DivergenceError(
+                f"non-finite activations at step {int(np.argmin(finite))}")
+    err *= 2.0 / err.size
+    g_w_out = err.T @ hs
 
-    e = (2.0 / err.size) * err
-    e2 = e.reshape(-1, config.n_out)
-    h2 = hs.reshape(-1, n)
-    g_w_out = e2.T @ h2
-    g_b_out = e2.sum(axis=0)
-
-    # state sensitivities, walked backwards
-    gh_direct = e2 @ params.w_out
-    gh_direct = gh_direct.reshape(batch, t_steps, n)
-    ds = np.empty((batch, t_steps, n))
+    # ds starts as the readout error of each state and becomes, walking
+    # backwards, d_t = alpha * (1 - s_t^2) * dL/dh_t
+    gain = np.square(ss)
+    np.subtract(1.0, gain, out=gain)
+    if alpha != 1.0:
+        gain *= alpha
+    ds = (err @ params.w_out).reshape(t_steps, batch, n)
     carry = np.zeros((batch, n))
+    leak = np.empty((batch, n))
     for t in range(t_steps - 1, -1, -1):
-        g = gh_direct[:, t] + carry
-        d = alpha * g * (1.0 - ss[:, t] ** 2)
-        ds[:, t] = d
-        carry = (1.0 - alpha) * g + d @ params.w_rec
+        g = ds[t]
+        g += carry
+        if alpha != 1.0:
+            np.multiply(g, 1.0 - alpha, out=leak)
+        g *= gain[t]
+        np.matmul(g, params.w_rec, out=carry)
+        if alpha != 1.0:
+            carry += leak
 
-    h_prev = np.empty_like(hs)
-    h_prev[:, 0] = 0.0
-    h_prev[:, 1:] = hs[:, :-1]
     d2 = ds.reshape(-1, n)
-    g_w_rec = d2.T @ h_prev.reshape(-1, n)
-    g_w_in = d2.T @ batch_x.reshape(-1, config.n_in)
-    g_b_rec = d2.sum(axis=0)
-
-    grads = RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out)
-    if not config.use_bias:
-        grads.b_rec = np.zeros_like(grads.b_rec)
-        grads.b_out = np.zeros_like(grads.b_out)
-    return grads, batch_loss
+    g_w_rec = d2.T @ hs_full[:-1].reshape(-1, n)
+    g_w_in = d2.T @ batch_x.transpose(1, 0, 2).reshape(-1, config.n_in)
+    if config.use_bias:
+        g_b_rec, g_b_out = d2.sum(axis=0), err.sum(axis=0)
+    else:
+        g_b_rec, g_b_out = np.zeros(n), np.zeros(config.n_out)
+    return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
 
 
 def init_adam_state(params: RnnParams) -> AdamState:
@@ -282,27 +283,26 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
 
 def _valid_step_mask(x: np.ndarray, y: np.ndarray, pulse_amp: float,
                      delay: int, pad: int) -> np.ndarray:
-    """Steps of one trial that are clean holds: every channel committed to
+    """Steps of each trial that are clean holds: every channel committed to
     +-1 and no channel inside [pulse onset, falling edge + delay + pad].
 
+    ``x`` and ``y`` are [trials, t_steps, channels]; returns [trials, t_steps].
     Pulses are located in the inputs by thresholding at half the pulse
     amplitude (far above the injected noise), which also covers trailing
-    pulses whose delayed target flip lands beyond the horizon.
+    pulses whose delayed target flip lands beyond the horizon. A step is
+    blocked when any channel is "on" at one of the delay + pad + 2 steps that
+    end at it, counted with a running sum over time.
     """
-    t_steps, n_bits = y.shape
-    valid = np.all(np.abs(y) == 1.0, axis=1)
-    for c in range(n_bits):
-        on = np.abs(x[:, c]) > pulse_amp / 2
-        edges = np.diff(on.astype(int))
-        starts = list(np.nonzero(edges == 1)[0] + 1)
-        ends = list(np.nonzero(edges == -1)[0] + 1)
-        if on[0]:
-            starts.insert(0, 0)
-        if on[-1]:
-            ends.append(t_steps)
-        for s, e in zip(starts, ends):
-            valid[s:min(t_steps, e + delay + pad + 1)] = False
-    return valid
+    on = np.any(np.abs(x) > pulse_amp / 2, axis=2)
+    ons = np.cumsum(on, axis=1)
+    window = delay + pad + 2
+    recent = ons.copy()
+    recent[:, window:] -= ons[:, :-window]
+    return np.all(np.abs(y) == 1.0, axis=2) & (recent == 0)
+
+
+# trials per forward pass in evaluate; bounds its memory for large datasets
+_EVAL_CHUNK = 128
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -311,7 +311,9 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
 
     ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside every channel's
-    transition window, and sign(z) equals the target on all channels.
+    transition window, and sign(z) equals the target on all channels. The
+    forward pass runs over slices of ``_EVAL_CHUNK`` trials, so only one
+    slice's hidden trajectory is held at a time.
     """
     if isinstance(data, Trial):
         x = data.inputs[None]
@@ -324,16 +326,17 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     if cfg is None:
         raise ValueError("a task config is required to locate transition windows")
 
-    _, z = batch_forward(params, model_cfg, x)
-    mse = float(np.mean((z - y) ** 2))
-
-    matched, considered = 0, 0
-    for i in range(x.shape[0]):
-        valid = _valid_step_mask(x[i], y[i], cfg.pulse_amp, cfg.delay_steps,
+    squared, matched, considered = 0.0, 0, 0
+    for lo in range(0, x.shape[0], _EVAL_CHUNK):
+        xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
+        z = batch_forward(params, model_cfg, xs)[1]  # the slice's h is freed
+        squared += float(np.sum((z - ys) ** 2))
+        valid = _valid_step_mask(xs, ys, cfg.pulse_amp, cfg.delay_steps,
                                  transition_pad)
+        ok = np.all(np.sign(z) == ys, axis=2)
         considered += int(valid.sum())
-        ok = np.all(np.sign(z[i]) == y[i], axis=1)
         matched += int((ok & valid).sum())
+    mse = squared / y.size if y.size else float("nan")
     accuracy = matched / considered if considered else 0.0
     return EvalMetrics(mse=mse, state_accuracy=accuracy)
 

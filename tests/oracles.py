@@ -20,3 +20,73 @@ def replay_oracle(events, t_steps, delay_steps, n_bits, pulse_width):
             state[channel] = float(sign)
         rows.append(list(state))
     return np.array(rows)
+
+
+def step(params, config, h, x):
+    """Single Euler update of the hidden state from matrix-vector products."""
+    h = np.asarray(h, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if h.shape != (config.n_units,):
+        raise ValueError(f"state has shape {h.shape}, expected ({config.n_units},)")
+    if x.shape != (config.n_in,):
+        raise ValueError(f"input has shape {x.shape}, expected ({config.n_in},)")
+    a = params.w_rec @ h + params.w_in @ x + params.b_rec
+    alpha = config.dt / config.tau
+    return (1.0 - alpha) * h + alpha * np.tanh(a)
+
+
+def bptt_oracle(params, config, x, y):
+    """Gradients of the mean squared readout error, one trial and one step at
+    a time: a forward walk keeping h_t and tanh(a_t), then a backward walk
+    with outer products. Returns (dict of gradients, loss)."""
+    alpha = config.dt / config.tau
+    batch, t_steps, n_out = y.shape
+    n = config.n_units
+    scale = 2.0 / (batch * t_steps * n_out)
+    g = {"w_in": np.zeros(params.w_in.shape), "w_rec": np.zeros((n, n)),
+         "w_out": np.zeros(params.w_out.shape), "b_rec": np.zeros(n),
+         "b_out": np.zeros(n_out)}
+    total = 0.0
+    for b in range(batch):
+        hs, ss = [np.zeros(n)], []
+        for t in range(t_steps):
+            a = params.w_rec @ hs[t] + params.w_in @ x[b, t] + params.b_rec
+            ss.append(np.tanh(a))
+            hs.append((1.0 - alpha) * hs[t] + alpha * ss[t])
+        dh_later = np.zeros(n)  # dL/dh_t through h_{t+1}
+        for t in range(t_steps - 1, -1, -1):
+            err = params.w_out @ hs[t + 1] + params.b_out - y[b, t]
+            total += float(err @ err)
+            e = scale * err
+            g["w_out"] += np.outer(e, hs[t + 1])
+            g["b_out"] += e
+            dh = params.w_out.T @ e + dh_later
+            da = alpha * (1.0 - ss[t] ** 2) * dh
+            g["w_rec"] += np.outer(da, hs[t])
+            g["w_in"] += np.outer(da, x[b, t])
+            g["b_rec"] += da
+            dh_later = (1.0 - alpha) * dh + params.w_rec.T @ da
+    if not config.use_bias:
+        g["b_rec"] = np.zeros(n)
+        g["b_out"] = np.zeros(n_out)
+    return g, total / (batch * t_steps * n_out)
+
+
+def valid_step_mask_loop(x, y, pulse_amp, delay, pad):
+    """Clean-hold steps of one [t_steps, channels] trial, pulse by pulse:
+    every channel committed to +-1 and no channel inside
+    [pulse onset, falling edge + delay + pad]."""
+    t_steps, n_bits = y.shape
+    valid = np.all(np.abs(y) == 1.0, axis=1)
+    for c in range(n_bits):
+        on = np.abs(x[:, c]) > pulse_amp / 2
+        edges = np.diff(on.astype(int))
+        starts = list(np.nonzero(edges == 1)[0] + 1)
+        ends = list(np.nonzero(edges == -1)[0] + 1)
+        if on[0]:
+            starts.insert(0, 0)
+        if on[-1]:
+            ends.append(t_steps)
+        for s, e in zip(starts, ends):
+            valid[s:min(t_steps, e + delay + pad + 1)] = False
+    return valid

@@ -11,8 +11,8 @@ from ffrnn.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    step,
 )
+from oracles import step
 
 
 def small_params(n_units=6, n_in=3, n_out=3, seed=0):
@@ -145,6 +145,20 @@ class TestForward:
 
 
 class TestBatchForward:
+    def test_leaky_step_from_nonzero_state_matches_step(self):
+        cfg = ModelConfig(n_units=6, dt=0.5, tau=1.0)
+        params = init_params(cfg, SeededRng(24))
+        rng = SeededRng(25)
+        x = rng.gen.normal(size=(3, 9, 3))
+        h0 = rng.gen.uniform(-0.8, 0.8, 6)
+        h, z = batch_forward(params, cfg, x, h0)
+        for b in range(3):
+            state = h0
+            for t in range(9):
+                state = step(params, cfg, state, x[b, t])
+                npt.assert_allclose(h[b, t], state, rtol=0, atol=1e-12)
+                npt.assert_allclose(z[b, t], params.w_out @ state, atol=1e-12)
+
     def test_batch_of_one_matches_forward(self):
         params, cfg = small_params(seed=15)
         inputs = SeededRng(16).gen.normal(size=(12, 3))

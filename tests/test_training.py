@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from ffrnn.training import (
     AdamState,
     DivergenceError,
     TrainConfig,
+    _valid_step_mask,
     adam_update,
     bptt_gradients,
     clip_gradients,
@@ -18,6 +21,7 @@ from ffrnn.training import (
     run_gradcheck,
     train,
 )
+from oracles import bptt_oracle, valid_step_mask_loop
 
 
 def naive_mean_squared(z, target):
@@ -124,6 +128,50 @@ class TestBpttGradients:
         x[0, 0, 0] = 1.0
         with pytest.raises(DivergenceError, match="step"):
             bptt_gradients(params, cfg, x, np.zeros((1, 4, 3)))
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_matches_per_step_oracle(self, dt, use_bias):
+        cfg = ModelConfig(n_units=7, dt=dt, use_bias=use_bias)
+        rng = SeededRng(40)
+        params = init_params(cfg, rng)
+        params.b_rec = rng.gen.normal(0, 0.1, 7)
+        params.b_out = rng.gen.normal(0, 0.1, 3)
+        x = rng.gen.normal(size=(3, 11, 3))
+        y = rng.gen.uniform(-1, 1, (3, 11, 3))
+        grads, batch_loss = bptt_gradients(params, cfg, x, y)
+        expected, expected_loss = bptt_oracle(params, cfg, x, y)
+        npt.assert_allclose(batch_loss, expected_loss, rtol=1e-12)
+        for key, g in grads.as_dict().items():
+            scale = max(np.max(np.abs(expected[key])), 1e-300)
+            assert np.max(np.abs(g - expected[key])) <= 1e-12 * scale, key
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_divergence_names_first_bad_step(self, dt):
+        cfg = ModelConfig(n_units=4, dt=dt)
+        params = init_params(cfg, SeededRng(41))
+        x = SeededRng(42).gen.normal(size=(2, 6, 3))
+        x[1, 2, 0] = np.nan
+        with pytest.raises(DivergenceError, match=r"at step 2$"):
+            bptt_gradients(params, cfg, x, np.zeros((2, 6, 3)))
+
+    def test_peak_memory_bounded(self):
+        # at alpha = 1 one call holds the states, tanh'(a) and the
+        # sensitivities: three [batch, t, n] arrays and a few small ones
+        cfg = ModelConfig(n_units=64)
+        params = init_params(cfg, SeededRng(43))
+        rng = SeededRng(44)
+        x = rng.gen.normal(size=(32, 200, 3))
+        y = rng.gen.uniform(-1, 1, (32, 200, 3))
+        bptt_gradients(params, cfg, x, y)
+        tracemalloc.start()
+        try:
+            bptt_gradients(params, cfg, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trajectory = 32 * 200 * 64 * 8
+        assert peak <= 3.5 * trajectory, f"peak {peak / trajectory:.2f} trajectories"
 
 
 class TestAdamUpdate:
@@ -314,6 +362,30 @@ class TestEvaluate:
         ds = generate_dataset(cfg, 1)
         metrics = evaluate(latch_params(), ModelConfig(n_units=3), ds.trial(0))
         assert metrics.state_accuracy == 1.0
+
+    @pytest.mark.parametrize("noise", [0.05, 0.2, 0.3])
+    def test_mask_matches_per_pulse_loop(self, noise):
+        cfg = TaskConfig(noise_std=noise, seed=7000)
+        ds = generate_dataset(cfg, 60)
+        mask = _valid_step_mask(ds.x, ds.y, cfg.pulse_amp, cfg.delay_steps, 10)
+        for i in range(60):
+            expected = valid_step_mask_loop(ds.x[i], ds.y[i], cfg.pulse_amp,
+                                            cfg.delay_steps, 10)
+            npt.assert_array_equal(mask[i], expected)
+
+    def test_chunked_matches_whole_dataset(self):
+        cfg = TaskConfig(seed=35)
+        ds = generate_dataset(cfg, 300)
+        mcfg = ModelConfig(n_units=8)
+        params = init_params(mcfg, SeededRng(36))
+        metrics = evaluate(params, mcfg, ds)
+        _, z = batch_forward(params, mcfg, ds.x)
+        npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
+        mask = np.stack([valid_step_mask_loop(ds.x[i], ds.y[i], cfg.pulse_amp,
+                                              cfg.delay_steps, 10)
+                         for i in range(300)])
+        ok = np.all(np.sign(z) == ds.y, axis=2)
+        assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
 
 
 class TestTrainConfig:
