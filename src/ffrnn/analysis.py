@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import eigenvalues, pca_top_k
-from .model import ModelConfig, RnnParams, forward
+from .model import ModelConfig, RnnParams, batch_forward
 from .task import Trial
 
 IDEAL_RATIOS = (1.0, np.sqrt(2.0), np.sqrt(3.0))
@@ -106,9 +106,9 @@ def settle_step(targets: np.ndarray) -> int:
 def collect_and_project(params: RnnParams, model_cfg: ModelConfig,
                         probe: Trial) -> ProjectionResult:
     """Run the probe, drop the settle-in prefix, project onto top-3 axes."""
-    trace = forward(params, model_cfg, probe.inputs)
+    h, _ = batch_forward(params, model_cfg, probe.inputs[None])
     prefix = settle_step(probe.targets)
-    activity = trace.h[prefix:]
+    activity = h[0, prefix:]
     components, projected, ratios = pca_top_k(activity, 3)
     return ProjectionResult(points=projected, explained_variance_ratio=ratios,
                             components=components, start_step=prefix)
@@ -175,21 +175,6 @@ def memory_states(projection: ProjectionResult, probe: Trial,
                       edge_group=edge_group, face_group=face_group,
                       body_group=body_group, within_state_spread=within,
                       separation_ratio=float(separation))
-
-
-@dataclass
-class ConnectivityGrid:
-    values: np.ndarray
-    vmin: float
-    vmax: float
-
-
-def export_connectivity(w_rec: np.ndarray) -> ConnectivityGrid:
-    """Raw matrix values plus the range for color scaling; no transform."""
-    w = np.asarray(w_rec, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"connectivity matrix must be square, got {w.shape}")
-    return ConnectivityGrid(values=w, vmin=float(w.min()), vmax=float(w.max()))
 
 
 def procrustes_align(a: np.ndarray, b: np.ndarray):
@@ -282,14 +267,12 @@ def write_projection_csv(path, projection: ProjectionResult, probe: Trial) -> No
             )
 
 
-def write_connectivity_csv(path, grid: ConnectivityGrid) -> None:
+def write_connectivity_csv(path, w_rec: np.ndarray) -> None:
+    """The raw recurrent matrix, one CSV row per matrix row; no transform."""
+    w = np.asarray(w_rec, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"connectivity matrix must be square, got {w.shape}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in grid.values:
+        for row in w:
             writer.writerow([F32_FMT % v for v in row])
-
-
-def read_connectivity_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return np.asarray(rows)

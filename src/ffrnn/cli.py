@@ -21,7 +21,6 @@ from . import __version__
 from .analysis import (
     collect_and_project,
     compare_realizations,
-    export_connectivity,
     memory_states,
     spectrum,
     state_label_int,
@@ -33,7 +32,7 @@ from .linalg import SeededRng
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .svgplot import write_projection_svg, write_spectrum_svg
 from .task import TaskConfig, generate_dataset, generate_probe, load_dataset, save_dataset
-from .tensorio import ensure_dir, sha256_file
+from .tensorio import sha256_file
 from .training import DivergenceError, TrainConfig, evaluate, run_gradcheck, train
 
 USAGE_ERROR = 2
@@ -75,8 +74,7 @@ def _load_config_file(path) -> dict:
 
 def _probe_for(manifest, probe_dir=None):
     if probe_dir:
-        ds = load_dataset(probe_dir)
-        return ds.trial(0)
+        return load_dataset(probe_dir).trial(0)
     task = manifest.get("task")
     cfg = TaskConfig(**task) if task else TaskConfig()
     return generate_probe(cfg)
@@ -108,8 +106,15 @@ def cmd_train(args) -> int:
                             learning_rate=args.lr, grad_clip_norm=clip,
                             seed=args.seed)
     params = init_params(model_cfg, SeededRng(args.seed))
+    metadata = {
+        "seed": args.seed,
+        "task": dataclasses.asdict(dataset.config),
+        "training": dataclasses.asdict(train_cfg),
+        "data_dir": os.path.abspath(args.data),
+        "samples": dataset.samples,
+    }
 
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.csv")
     with open(history_path, "w") as fh:
         fh.write("epoch,loss\n")
@@ -119,15 +124,8 @@ def cmd_train(args) -> int:
             fh.write(f"{epoch},{epoch_loss!r}\n")
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
             save_checkpoint(os.path.join(args.out, f"epoch_{epoch:04d}"),
-                            epoch_params, model_cfg)
+                            epoch_params, model_cfg, metadata)
 
-    metadata = {
-        "seed": args.seed,
-        "task": dataclasses.asdict(dataset.config),
-        "training": dataclasses.asdict(train_cfg),
-        "data_dir": os.path.abspath(args.data),
-        "samples": dataset.samples,
-    }
     try:
         params, report = train(params, model_cfg, dataset, train_cfg,
                                eval_fraction=args.eval_fraction,
@@ -162,12 +160,9 @@ def cmd_eval(args) -> int:
     params, model_cfg, manifest = load_checkpoint(args.checkpoint)
     if args.data:
         data = load_dataset(args.data)
-        task_cfg = data.config
     else:
         data = _probe_for(manifest, args.probe)
-        task_cfg = data.config
-    metrics = evaluate(params, model_cfg, data, transition_pad=args.pad,
-                       task_config=task_cfg)
+    metrics = evaluate(params, model_cfg, data, transition_pad=args.pad)
     payload = dataclasses.asdict(metrics)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
@@ -181,12 +176,12 @@ def cmd_spectrum(args) -> int:
     start = time.perf_counter()
     params, _, _ = load_checkpoint(args.checkpoint)
     spec = spectrum(params.w_rec, eps_circle=args.eps)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "spectrum.csv")
     write_spectrum_csv(csv_path, spec)
     outputs = [csv_path]
     conn_path = os.path.join(args.out, "connectivity.csv")
-    write_connectivity_csv(conn_path, export_connectivity(params.w_rec))
+    write_connectivity_csv(conn_path, params.w_rec)
     outputs.append(conn_path)
     if args.svg:
         svg_path = os.path.join(args.out, "spectrum.svg")
@@ -208,7 +203,7 @@ def cmd_project(args) -> int:
     params, model_cfg, manifest = load_checkpoint(args.checkpoint)
     probe = _probe_for(manifest, args.probe)
     projection = collect_and_project(params, model_cfg, probe)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "projection.csv")
     write_projection_csv(csv_path, projection, probe)
     outputs = [csv_path]
@@ -241,7 +236,7 @@ def _cube_report_for(checkpoint_dir, probe_dir, margin):
 def cmd_cube(args) -> int:
     start = time.perf_counter()
     report = _cube_report_for(args.checkpoint, args.probe, args.margin)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "cube_report.json")
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -271,7 +266,7 @@ def cmd_compare(args) -> int:
     reports = [_cube_report_for(c, args.probe, args.margin)
                for c in args.checkpoints]
     summary = compare_realizations(reports)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare_report.json")
     payload = _json_safe(
         {"per_report": summary.per_report, "pairwise": summary.pairwise})
@@ -300,7 +295,10 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else NUMERICAL_ERROR
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The full parser; ``defaults`` (flag dest -> value) override the
+    defaults of every subcommand."""
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="ffrnn",
         description="Train and analyze flip-flop memory recurrent networks.")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-gap", type=int, default=30)
     p.add_argument("--max-gap", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, **defaults)
 
     p = sub.add_parser("train", help="train a network on a dataset")
     p.add_argument("--data", required=True)
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-fraction", type=float, default=0.05)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **defaults)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -347,35 +345,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", default=None)
     p.add_argument("--pad", type=int, default=10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, **defaults)
 
     p = sub.add_parser("spectrum", help="eigenspectrum of the recurrent matrix")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, **defaults)
 
     p = sub.add_parser("project", help="project probe activity onto top-3 axes")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--probe", default=None)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_project, **defaults)
 
     p = sub.add_parser("cube", help="memory-state cube geometry report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--probe", default=None)
     p.add_argument("--margin", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cube)
+    p.set_defaults(func=cmd_cube, **defaults)
 
     p = sub.add_parser("compare", help="compare cube reports across checkpoints")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--probe", default=None)
     p.add_argument("--margin", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, **defaults)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--units", type=int, default=8)
@@ -383,25 +381,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--seed", type=int, default=seed)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, **defaults)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+    # --config may stand anywhere; a missing file name exits 2 here
+    pre = argparse.ArgumentParser(prog="ffrnn", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", default=None)
+    cfg_path = pre.parse_known_args(argv)[0].config
+    args = build_parser().parse_args(argv)
+    if cfg_path is not None:
         try:
-            defaults = _load_config_file(cfg_path)
+            values = _load_config_file(cfg_path)
         except (OSError, ValueError) as exc:
             print(f"cannot read config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        for p in [parser] + list(parser._subparsers._group_actions[0].choices.values()):
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    args = parser.parse_args(argv)
+        if not isinstance(values, dict):
+            print(f"config file {cfg_path} does not hold a table of flags",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        # keep the flags of the chosen subcommand, then parse again with them
+        # as defaults, so flags given on the command line still win
+        known = set(vars(args)) - {"command", "config", "func"}
+        args = build_parser({k: v for k, v in values.items() if k in known}
+                            ).parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:

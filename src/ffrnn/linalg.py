@@ -43,18 +43,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with explicit shape validation."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
 def random_normal(rng: SeededRng, rows: int, cols: int,
                   mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     """Matrix of i.i.d. Gaussian entries, deterministic given the stream."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SeededRng, orthogonal_init, random_normal
-from .tensorio import ensure_dir, read_tensor, write_tensor
+from .tensorio import read_tensor, write_tensor
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ class RnnParams:
         return RnnParams(**{k: fn(k, v) for k, v in self.as_dict().items()})
 
 
-@dataclass
-class ActivityTrace:
-    h: np.ndarray   # t_steps x n_units, h0 excluded
-    h0: np.ndarray  # n_units
-    z: np.ndarray   # t_steps x n_out
-
-
 def init_params(config: ModelConfig, rng: SeededRng) -> RnnParams:
     """Orthogonal recurrent matrix, Gaussian(0, 2/(fan_in + fan_out)) in/out,
     zero biases.
@@ -100,18 +93,6 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
         actual = getattr(params, name).shape
         if actual != shape:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
-
-
-def forward(params: RnnParams, config: ModelConfig, inputs: np.ndarray,
-            h0: np.ndarray | None = None) -> ActivityTrace:
-    """Run the full sequence, recording every hidden state and readout."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != config.n_in:
-        raise ValueError(f"inputs must be t_steps x {config.n_in}, got {inputs.shape}")
-    h, z = batch_forward(params, config, inputs[None],
-                         None if h0 is None else np.asarray(h0, dtype=float))
-    h0_arr = np.zeros(config.n_units) if h0 is None else np.asarray(h0, dtype=float)
-    return ActivityTrace(h[0], h0_arr, z[0])
 
 
 def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
@@ -176,7 +157,7 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray,
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
                     metadata: dict | None = None) -> None:
     """Write manifest.json plus one tensor file per weight matrix."""
-    ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     write_tensor(os.path.join(out_dir, "w_in.rnt"), params.w_in)
     write_tensor(os.path.join(out_dir, "w_rec.rnt"), params.w_rec)
     write_tensor(os.path.join(out_dir, "w_out.rnt"), params.w_out)
@@ -199,6 +180,9 @@ def load_checkpoint(in_dir):
         manifest = json.load(fh)
     if "model" not in manifest:
         raise ValueError(f"{manifest_path}: missing 'model' section")
+    unknown = set(manifest["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise ValueError(f"{manifest_path}: unknown model keys {sorted(unknown)}")
     config = ModelConfig(**manifest["model"])
     w_in = read_tensor(os.path.join(in_dir, "w_in.rnt"))
     w_rec = read_tensor(os.path.join(in_dir, "w_rec.rnt"))

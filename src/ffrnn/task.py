@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SeededRng
-from .tensorio import ensure_dir, read_tensor, write_tensor
+from .tensorio import read_tensor, write_tensor
 
 PROBE_STEPS = 600
 PROBE_HOLD_MIN = 60
@@ -59,7 +59,8 @@ class TaskConfig:
 
 @dataclass
 class Trial:
-    """One trial: inputs (t_steps x n_bits), targets in {-1, 0, +1}."""
+    """One trial: inputs (t_steps x n_bits), targets in {-1, 0, +1}, and the
+    (onset_step, channel, sign) pulse events that made them."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -69,18 +70,20 @@ class Trial:
 
 @dataclass
 class Dataset:
-    """x, y tensors of shape [samples, t_steps, n_bits] plus generator config."""
+    """x, y tensors of shape [samples, t_steps, n_bits], the generator config,
+    and per sample the (onset_step, channel, sign) pulse events."""
 
     x: np.ndarray
     y: np.ndarray
     config: TaskConfig
+    events: list
 
     @property
     def samples(self) -> int:
         return self.x.shape[0]
 
     def trial(self, i: int) -> Trial:
-        return Trial(self.x[i], self.y[i], events=(), config=self.config)
+        return Trial(self.x[i], self.y[i], events=self.events[i], config=self.config)
 
 
 def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
@@ -117,9 +120,9 @@ def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
     return targets
 
 
-def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
-    """One random trial: per channel, gap ~ U[min_gap, max_gap] then a pulse
-    of equiprobable sign, repeated while it fits; noise added to every entry."""
+def _draw_events(config: TaskConfig, rng: SeededRng) -> tuple:
+    """Per channel, gap ~ U[min_gap, max_gap] then a pulse of equiprobable
+    sign, repeated while it fits; sorted by (onset, channel)."""
     events = []
     for channel in range(config.n_bits):
         t = 0
@@ -131,8 +134,14 @@ def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
             sign = 1 if rng.gen.integers(0, 2) == 1 else -1
             events.append((onset, channel, sign))
             t = onset + config.pulse_width
-
     events.sort(key=lambda e: (e[0], e[1]))
+    return tuple(events)
+
+
+def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
+    """One random trial: the events of ``_draw_events``, then noise added to
+    every input entry from the same stream."""
+    events = _draw_events(config, rng)
     inputs = np.zeros((config.t_steps, config.n_bits))
     for onset, channel, sign in events:
         inputs[onset:onset + config.pulse_width, channel] = sign * config.pulse_amp
@@ -140,7 +149,7 @@ def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
                               config.n_bits, config.pulse_width)
     if config.noise_std > 0:
         inputs = inputs + rng.gen.normal(0.0, config.noise_std, inputs.shape)
-    return Trial(inputs, targets, events=tuple(events), config=config)
+    return Trial(inputs, targets, events=events, config=config)
 
 
 def trial_rng(config: TaskConfig, index: int) -> SeededRng:
@@ -153,11 +162,13 @@ def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
         raise ValueError("samples must be >= 1")
     x = np.zeros((samples, config.t_steps, config.n_bits))
     y = np.zeros_like(x)
+    events = []
     for i in range(samples):
         trial = generate_trial(config, trial_rng(config, i))
         x[i] = trial.inputs
         y[i] = trial.targets
-    return Dataset(x, y, config)
+        events.append(trial.events)
+    return Dataset(x, y, config, events)
 
 
 def probe_schedule(config: TaskConfig):
@@ -195,8 +206,9 @@ def generate_probe(config: TaskConfig) -> Trial:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list:
-    """Write x.rnt, y.rnt and config.json; returns the file paths."""
-    ensure_dir(out_dir)
+    """Write x.rnt, y.rnt and config.json; returns the file paths. The events
+    are not written: ``load_dataset`` regenerates them from the config."""
+    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in ("x.rnt", "y.rnt", "config.json")]
     write_tensor(paths[0], dataset.x)
     write_tensor(paths[1], dataset.y)
@@ -207,6 +219,8 @@ def save_dataset(dataset: Dataset, out_dir) -> list:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a dataset directory. Each sample's events are drawn again from
+    ``trial_rng(config, i)``, which yields them before any noise."""
     config_path = os.path.join(in_dir, "config.json")
     if not os.path.isfile(config_path):
         raise FileNotFoundError(f"no config.json under {in_dir}")
@@ -216,4 +230,7 @@ def load_dataset(in_dir) -> Dataset:
     y = read_tensor(os.path.join(in_dir, "y.rnt"))
     if x.shape != y.shape or x.ndim != 3:
         raise ValueError(f"inconsistent dataset tensors: x {x.shape}, y {y.shape}")
-    return Dataset(x, y, config)
+    if x.shape[1:] != (config.t_steps, config.n_bits):
+        raise ValueError(f"dataset tensors {x.shape} do not match config.json")
+    events = [_draw_events(config, trial_rng(config, i)) for i in range(x.shape[0])]
+    return Dataset(x, y, config, events)

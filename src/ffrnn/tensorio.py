@@ -7,7 +7,6 @@ float32. Internal float64 values are rounded to float32 on write.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
@@ -59,6 +58,3 @@ def sha256_file(path) -> str:
             h.update(chunk)
     return h.hexdigest()
 
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -232,6 +232,8 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     """
     if dataset.samples < 1:
         raise ValueError("dataset is empty")
+    if not 0 <= eval_fraction < 1:
+        raise ValueError(f"eval_fraction must lie in [0, 1), got {eval_fraction}")
     n_eval = min(int(round(eval_fraction * dataset.samples)), dataset.samples - 1)
     n_train = dataset.samples - n_eval
     total_updates = train_cfg.epochs * -(-n_train // train_cfg.batch_size)
@@ -273,7 +275,8 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
 
     wall = time.perf_counter() - start
     if n_eval > 0:
-        eval_set = Dataset(dataset.x[n_train:], dataset.y[n_train:], dataset.config)
+        eval_set = Dataset(dataset.x[n_train:], dataset.y[n_train:],
+                           dataset.config, dataset.events[n_train:])
     else:
         eval_set = dataset
     report = TrainReport(loss_per_epoch=losses, wall_time=wall,
@@ -281,24 +284,21 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     return params, report
 
 
-def _valid_step_mask(x: np.ndarray, y: np.ndarray, pulse_amp: float,
-                     delay: int, pad: int) -> np.ndarray:
+def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     """Steps of each trial that are clean holds: every channel committed to
-    +-1 and no channel inside [pulse onset, falling edge + delay + pad].
+    +-1 and no pulse in [onset, onset + pulse_width + delay_steps + pad].
 
-    ``x`` and ``y`` are [trials, t_steps, channels]; returns [trials, t_steps].
-    Pulses are located in the inputs by thresholding at half the pulse
-    amplitude (far above the injected noise), which also covers trailing
-    pulses whose delayed target flip lands beyond the horizon. A step is
-    blocked when any channel is "on" at one of the delay + pad + 2 steps that
-    end at it, counted with a running sum over time.
+    ``events[i]`` holds trial i's (onset_step, channel, sign) triples and
+    ``y`` is [trials, t_steps, channels]; returns [trials, t_steps]. The
+    window also covers a trailing pulse whose delayed target flip lands
+    beyond the horizon.
     """
-    on = np.any(np.abs(x) > pulse_amp / 2, axis=2)
-    ons = np.cumsum(on, axis=1)
-    window = delay + pad + 2
-    recent = ons.copy()
-    recent[:, window:] -= ons[:, :-window]
-    return np.all(np.abs(y) == 1.0, axis=2) & (recent == 0)
+    mask = np.all(np.abs(y) == 1.0, axis=2)
+    span = config.pulse_width + config.delay_steps + pad + 1
+    for i, trial_events in enumerate(events):
+        for onset, _, _ in trial_events:
+            mask[i, onset:onset + span] = False
+    return mask
 
 
 # trials per forward pass in evaluate; bounds its memory for large datasets
@@ -306,23 +306,21 @@ _EVAL_CHUNK = 128
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
-             transition_pad: int = 10, task_config=None) -> EvalMetrics:
+             transition_pad: int = 10) -> EvalMetrics:
     """MSE over every step plus sign-match accuracy on clean hold steps.
 
     ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
-    all channels hold a committed +-1 target, outside every channel's
-    transition window, and sign(z) equals the target on all channels. The
-    forward pass runs over slices of ``_EVAL_CHUNK`` trials, so only one
-    slice's hidden trajectory is held at a time.
+    all channels hold a committed +-1 target, outside the transition window
+    of every pulse event (``_clean_hold_mask``), and sign(z) equals the
+    target on all channels. The forward pass runs over slices of
+    ``_EVAL_CHUNK`` trials, so only one slice's hidden trajectory is held at
+    a time.
     """
     if isinstance(data, Trial):
-        x = data.inputs[None]
-        y = data.targets[None]
-        cfg = task_config or data.config
+        x, y, events = data.inputs[None], data.targets[None], [data.events]
     else:
-        x = data.x
-        y = data.y
-        cfg = task_config or data.config
+        x, y, events = data.x, data.y, data.events
+    cfg = data.config
     if cfg is None:
         raise ValueError("a task config is required to locate transition windows")
 
@@ -331,7 +329,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
         z = batch_forward(params, model_cfg, xs)[1]  # the slice's h is freed
         squared += float(np.sum((z - ys) ** 2))
-        valid = _valid_step_mask(xs, ys, cfg.pulse_amp, cfg.delay_steps,
+        valid = _clean_hold_mask(events[lo:lo + _EVAL_CHUNK], ys, cfg,
                                  transition_pad)
         ok = np.all(np.sign(z) == ys, axis=2)
         considered += int(valid.sum())

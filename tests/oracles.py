@@ -72,21 +72,15 @@ def bptt_oracle(params, config, x, y):
     return g, total / (batch * t_steps * n_out)
 
 
-def valid_step_mask_loop(x, y, pulse_amp, delay, pad):
-    """Clean-hold steps of one [t_steps, channels] trial, pulse by pulse:
-    every channel committed to +-1 and no channel inside
-    [pulse onset, falling edge + delay + pad]."""
-    t_steps, n_bits = y.shape
-    valid = np.all(np.abs(y) == 1.0, axis=1)
-    for c in range(n_bits):
-        on = np.abs(x[:, c]) > pulse_amp / 2
-        edges = np.diff(on.astype(int))
-        starts = list(np.nonzero(edges == 1)[0] + 1)
-        ends = list(np.nonzero(edges == -1)[0] + 1)
-        if on[0]:
-            starts.insert(0, 0)
-        if on[-1]:
-            ends.append(t_steps)
-        for s, e in zip(starts, ends):
-            valid[s:min(t_steps, e + delay + pad + 1)] = False
+def clean_hold_oracle(events, y, pulse_width, delay, pad):
+    """Clean-hold steps of one [t_steps, channels] trial, step by step: every
+    channel committed to +-1 and no pulse with
+    onset <= step <= onset + pulse_width + delay + pad."""
+    t_steps = y.shape[0]
+    valid = np.zeros(t_steps, dtype=bool)
+    for t in range(t_steps):
+        committed = all(abs(v) == 1.0 for v in y[t])
+        blocked = any(onset <= t <= onset + pulse_width + delay + pad
+                      for onset, _, _ in events)
+        valid[t] = committed and not blocked
     return valid

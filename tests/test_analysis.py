@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 from itertools import product
 
@@ -10,10 +11,8 @@ from ffrnn.analysis import (
     ProjectionResult,
     collect_and_project,
     compare_realizations,
-    export_connectivity,
     memory_states,
     procrustes_align,
-    read_connectivity_csv,
     settle_step,
     spectrum,
     state_label_int,
@@ -157,27 +156,31 @@ class TestMemoryStates:
             npt.assert_allclose(centroid, label, atol=1e-9)
 
 
-class TestExportConnectivity:
-    def test_zero_matrix(self):
-        grid = export_connectivity(np.zeros((4, 4)))
-        assert (grid.vmin, grid.vmax) == (0.0, 0.0)
-        npt.assert_array_equal(grid.values, 0.0)
+def read_csv_matrix(path):
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row] for row in csv.reader(fh) if row])
 
-    def test_identity(self):
-        grid = export_connectivity(np.eye(3))
-        npt.assert_array_equal(np.diag(grid.values), 1.0)
-        assert (grid.vmin, grid.vmax) == (0.0, 1.0)
+
+class TestExportConnectivity:
+    def test_zero_matrix(self, tmp_path):
+        write_connectivity_csv(tmp_path / "c.csv", np.zeros((4, 4)))
+        npt.assert_array_equal(read_csv_matrix(tmp_path / "c.csv"), np.zeros((4, 4)))
+
+    def test_identity(self, tmp_path):
+        write_connectivity_csv(tmp_path / "c.csv", np.eye(3))
+        npt.assert_array_equal(read_csv_matrix(tmp_path / "c.csv"), np.eye(3))
 
     def test_csv_round_trip_32bit(self, tmp_path):
         w = SeededRng(8).gen.normal(size=(9, 9))
         path = tmp_path / "connectivity.csv"
-        write_connectivity_csv(path, export_connectivity(w))
-        back = read_connectivity_csv(path)
+        write_connectivity_csv(path, w)
+        back = read_csv_matrix(path)
         npt.assert_array_equal(back.astype(np.float32), w.astype(np.float32))
 
-    def test_non_square_rejected(self):
+    def test_non_square_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            export_connectivity(np.zeros((2, 3)))
+            write_connectivity_csv(tmp_path / "c.csv", np.zeros((2, 3)))
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestProcrustes:

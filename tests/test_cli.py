@@ -10,7 +10,7 @@ import pytest
 
 from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
-from ffrnn.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from ffrnn.model import ModelConfig, RnnParams, init_params, load_checkpoint, save_checkpoint
 from ffrnn.task import TaskConfig, generate_dataset, save_dataset
 from ffrnn.tensorio import sha256_file
 
@@ -138,6 +138,22 @@ class TestTrain:
         assert (out / "epoch_0000" / "w_rec.rnt").exists()
         assert (out / "epoch_0001" / "w_rec.rnt").exists()
 
+    def test_epoch_checkpoint_cube_uses_dataset_task(self, tmp_path, small_data):
+        out = tmp_path / "ckpt_e"
+        assert run_cli("train", "--data", small_data, "--units", 8,
+                       "--epochs", 1, "--batch", 8, "--seed", 5,
+                       "--checkpoint-every", 1, "--out", out) == 0
+        task = json.loads((small_data / "config.json").read_text())
+        _, _, manifest = load_checkpoint(out / "epoch_0000")
+        assert manifest["task"] == task
+        # after one epoch the epoch checkpoint holds the final weights, so
+        # both cube reports come from the same probe only if both carry the task
+        for ckpt, dest in ((out, "final"), (out / "epoch_0000", "epoch")):
+            assert run_cli("cube", "--checkpoint", ckpt,
+                           "--out", tmp_path / dest) == 0
+        assert ((tmp_path / "final" / "cube_report.json").read_bytes()
+                == (tmp_path / "epoch" / "cube_report.json").read_bytes())
+
     def test_divergent_data_exits_3(self, tmp_path):
         cfg = TaskConfig(t_steps=60, delay_steps=5, pulse_width=4,
                          min_gap=8, max_gap=20, seed=5)
@@ -168,12 +184,49 @@ class TestTrain:
         assert metrics["mse"] >= 0.0
 
 
+def exit_code(*args):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def manifest_with_unknown_model_key(tmp_path, _data):
+    ckpt = tmp_path / "odd"
+    cfg = ModelConfig(n_units=4)
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model"]["n_layers"] = 2
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return ["eval", "--checkpoint", ckpt]
+
+
+def config_holding_a_list(tmp_path, _data):
+    (tmp_path / "list.json").write_text("[3, 64]")
+    return ["--config", tmp_path / "list.json", "gen", "--out", tmp_path / "d"]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    pytest.param(lambda tmp_path, _data: ["gen", "--out", tmp_path / "d", "--config"],
+                 "--config", id="config-without-file"),
+    pytest.param(config_holding_a_list, "table of flags", id="config-not-a-table"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--eval-fraction", -0.5,
+                                         "--out", tmp_path / "t"],
+                 "eval_fraction", id="negative-eval-fraction"),
+    pytest.param(manifest_with_unknown_model_key, "n_layers", id="unknown-model-key"),
+])
+def test_bad_input_exits_2(tmp_path, small_data, make_args, message, capsys):
+    assert exit_code(*make_args(tmp_path, small_data)) == 2
+    assert message in capsys.readouterr().err
+
+
 def write_latch_checkpoint(out_dir, task_cfg):
     import dataclasses
 
     eye = np.eye(3)
-    params_cls = __import__("ffrnn").RnnParams
-    params = params_cls(w_in=1000.0 * eye, w_rec=1000.0 * eye, w_out=eye,
+    params = RnnParams(w_in=1000.0 * eye, w_rec=1000.0 * eye, w_out=eye,
                         b_rec=np.zeros(3), b_out=np.zeros(3))
     cfg = ModelConfig(n_units=3)
     save_checkpoint(out_dir, params, cfg,
@@ -250,7 +303,6 @@ class TestAnalysisCommands:
 
     def test_compare_rotated_latches(self, tmp_path):
         import dataclasses
-        from ffrnn import RnnParams
 
         task_cfg = TaskConfig(noise_std=0.0, seed=13)
         meta = {"task": dataclasses.asdict(task_cfg)}

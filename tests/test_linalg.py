@@ -5,23 +5,10 @@ import pytest
 from ffrnn.linalg import (
     SeededRng,
     eigenvalues,
-    matmul,
     orthogonal_init,
     pca_top_k,
     random_normal,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
 
 
 class TestSeededRng:
@@ -41,39 +28,6 @@ class TestSeededRng:
         r1.gen.normal(size=10)
         r2 = SeededRng(9)
         assert r1.derive("x").seed == r2.derive("x").seed
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        npt.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        npt.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_matches_naive_oracle(self):
-        rng = SeededRng(17)
-        a = rng.gen.normal(size=(7, 5))
-        b = rng.gen.normal(size=(5, 4))
-        npt.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="2-D"):
-            matmul(np.zeros(3), np.zeros((3, 1)))
-
-    def test_associativity(self):
-        rng = SeededRng(23)
-        for _ in range(10):
-            a = rng.gen.normal(size=(4, 6))
-            b = rng.gen.normal(size=(6, 3))
-            c = rng.gen.normal(size=(3, 5))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 class TestRandomNormal:

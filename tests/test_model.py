@@ -7,7 +7,6 @@ from ffrnn.model import (
     ModelConfig,
     RnnParams,
     batch_forward,
-    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -107,33 +106,31 @@ class TestStep:
 class TestForward:
     def test_empty_sequence(self):
         params, cfg = small_params()
-        trace = forward(params, cfg, np.zeros((0, 3)))
-        assert trace.h.shape == (0, 6)
-        assert trace.z.shape == (0, 3)
-        npt.assert_array_equal(trace.h0, np.zeros(6))
+        h, z = batch_forward(params, cfg, np.zeros((1, 0, 3)))
+        assert h.shape == (1, 0, 6)
+        assert z.shape == (1, 0, 3)
 
     def test_zero_inputs_zero_trace(self):
         params, cfg = small_params()
-        trace = forward(params, cfg, np.zeros((20, 3)))
-        npt.assert_array_equal(trace.h, 0.0)
-        npt.assert_array_equal(trace.z, 0.0)
+        h, z = batch_forward(params, cfg, np.zeros((1, 20, 3)))
+        npt.assert_array_equal(h, 0.0)
+        npt.assert_array_equal(z, 0.0)
 
     def test_readout_definition(self):
         params, cfg = small_params(seed=9)
         inputs = SeededRng(10).gen.normal(size=(15, 3))
-        trace = forward(params, cfg, inputs)
+        h, z = batch_forward(params, cfg, inputs[None])
         for t in range(15):
-            npt.assert_allclose(trace.z[t], params.w_out @ trace.h[t],
-                                atol=1e-12)
+            npt.assert_allclose(z[0, t], params.w_out @ h[0, t], atol=1e-12)
 
     def test_matches_step_sequence(self):
         params, cfg = small_params(seed=11)
         inputs = SeededRng(12).gen.normal(size=(10, 3))
-        trace = forward(params, cfg, inputs)
-        h = np.zeros(6)
+        h, _ = batch_forward(params, cfg, inputs[None])
+        state = np.zeros(6)
         for t in range(10):
-            h = step(params, cfg, h, inputs[t])
-            npt.assert_allclose(trace.h[t], h, atol=1e-12)
+            state = step(params, cfg, state, inputs[t])
+            npt.assert_allclose(h[0, t], state, atol=1e-12)
 
     def test_readout_linear_in_state(self):
         params, cfg = small_params(seed=13)
@@ -160,12 +157,13 @@ class TestBatchForward:
                 npt.assert_allclose(z[b, t], params.w_out @ state, atol=1e-12)
 
     def test_batch_of_one_matches_forward(self):
+        # a trial's forward pass alone equals its row in a larger batch
         params, cfg = small_params(seed=15)
-        inputs = SeededRng(16).gen.normal(size=(12, 3))
-        trace = forward(params, cfg, inputs)
-        h, z = batch_forward(params, cfg, inputs[None])
-        npt.assert_array_equal(h[0], trace.h)
-        npt.assert_array_equal(z[0], trace.z)
+        x = SeededRng(16).gen.normal(size=(4, 12, 3))
+        h, z = batch_forward(params, cfg, x)
+        h1, z1 = batch_forward(params, cfg, x[2:3])
+        npt.assert_allclose(h1[0], h[2], rtol=0, atol=1e-12)
+        npt.assert_allclose(z1[0], z[2], rtol=0, atol=1e-12)
 
     def test_batch_permutation_equivariance(self):
         params, cfg = small_params(seed=17)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -142,6 +144,7 @@ class TestGenerateDataset:
         lone = generate_trial(cfg, trial_rng(cfg, 377))
         npt.assert_array_equal(ds.x[377], lone.inputs)
         npt.assert_array_equal(ds.y[377], lone.targets)
+        assert ds.events[377] == lone.events
 
     def test_dataset_determinism(self):
         cfg = TaskConfig(t_steps=80, seed=13)
@@ -158,6 +161,16 @@ class TestGenerateDataset:
         assert back.config == cfg
         npt.assert_array_equal(back.x, ds.x.astype(np.float32))
         npt.assert_array_equal(back.y, ds.y)  # targets are exact in f32
+        assert back.events == ds.events  # regenerated, not stored
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "x.rnt", "y.rnt"]
+
+    def test_config_shape_mismatch_rejected(self, tmp_path):
+        cfg = TaskConfig(t_steps=60, seed=14)
+        save_dataset(generate_dataset(cfg, 2), tmp_path)
+        (tmp_path / "config.json").write_text(
+            json.dumps(dataclasses.asdict(dataclasses.replace(cfg, t_steps=80))))
+        with pytest.raises(ValueError, match="config.json"):
+            load_dataset(tmp_path)
 
 
 class TestProbe:
@@ -222,3 +235,4 @@ class TestConfigValidation:
         trial = ds.trial(2)
         npt.assert_array_equal(trial.inputs, ds.x[2])
         assert trial.config == cfg
+        assert trial.events == ds.events[2]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from ffrnn.training import (
     AdamState,
     DivergenceError,
     TrainConfig,
-    _valid_step_mask,
+    _clean_hold_mask,
     adam_update,
     bptt_gradients,
     clip_gradients,
@@ -21,7 +22,7 @@ from ffrnn.training import (
     run_gradcheck,
     train,
 )
-from oracles import bptt_oracle, valid_step_mask_loop
+from oracles import bptt_oracle, clean_hold_oracle
 
 
 def naive_mean_squared(z, target):
@@ -367,11 +368,15 @@ class TestEvaluate:
     def test_mask_matches_per_pulse_loop(self, noise):
         cfg = TaskConfig(noise_std=noise, seed=7000)
         ds = generate_dataset(cfg, 60)
-        mask = _valid_step_mask(ds.x, ds.y, cfg.pulse_amp, cfg.delay_steps, 10)
+        mask = _clean_hold_mask(ds.events, ds.y, cfg, 10)
         for i in range(60):
-            expected = valid_step_mask_loop(ds.x[i], ds.y[i], cfg.pulse_amp,
-                                            cfg.delay_steps, 10)
+            expected = clean_hold_oracle(ds.events[i], ds.y[i], cfg.pulse_width,
+                                         cfg.delay_steps, 10)
             npt.assert_array_equal(mask[i], expected)
+        # the events, and so the mask, do not depend on the noise level
+        quiet = generate_dataset(dataclasses.replace(cfg, noise_std=0.0), 60)
+        npt.assert_array_equal(mask, _clean_hold_mask(quiet.events, quiet.y, cfg, 10))
+        assert mask.mean() > 0.05
 
     def test_chunked_matches_whole_dataset(self):
         cfg = TaskConfig(seed=35)
@@ -381,8 +386,8 @@ class TestEvaluate:
         metrics = evaluate(params, mcfg, ds)
         _, z = batch_forward(params, mcfg, ds.x)
         npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
-        mask = np.stack([valid_step_mask_loop(ds.x[i], ds.y[i], cfg.pulse_amp,
-                                              cfg.delay_steps, 10)
+        mask = np.stack([clean_hold_oracle(ds.events[i], ds.y[i], cfg.pulse_width,
+                                           cfg.delay_steps, 10)
                          for i in range(300)])
         ok = np.all(np.sign(z) == ds.y, axis=2)
         assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
