@@ -9,6 +9,7 @@ the 8 memory states into centroids, and the cube geometry of those centroids
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -17,6 +18,7 @@ import numpy as np
 from .linalg import eigenvalues, pca_top_k
 from .model import ModelConfig, RnnParams, batch_forward
 from .task import Trial
+from .tensorio import write_file
 
 IDEAL_RATIOS = (1.0, np.sqrt(2.0), np.sqrt(3.0))
 CUBE_GROUP_SIZES = (12, 12, 4)
@@ -63,15 +65,12 @@ class CubeReport:
         return (1.0, self.face_group[1] / edge, self.body_group[1] / edge)
 
     def to_dict(self) -> dict:
-        # separation_ratio is infinite when clusters have zero spread; JSON
-        # carries that as null
-        sep = self.separation_ratio
         out = {
             "state_labels": [list(map(int, s)) for s in self.state_labels],
             "centroids": np.asarray(self.centroids).tolist(),
             "missing_states": [list(map(int, s)) for s in self.missing_states],
             "within_state_spread": self.within_state_spread,
-            "separation_ratio": sep if np.isfinite(sep) else None,
+            "separation_ratio": self.separation_ratio,
         }
         for name in ("edge_group", "face_group", "body_group"):
             g = getattr(self, name)
@@ -239,12 +238,15 @@ def compare_realizations(reports: list) -> RealizationSummary:
 F32_FMT = "%.9g"
 
 
+def _write_csv(path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    write_file(path, buf.getvalue())
+
+
 def write_spectrum_csv(path, spec: Spectrum) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im"])
-        for lam in spec.eigenvalues:
-            writer.writerow([F32_FMT % lam.real, F32_FMT % lam.imag])
+    _write_csv(path, [["re", "im"]] + [[F32_FMT % lam.real, F32_FMT % lam.imag]
+                                       for lam in spec.eigenvalues])
 
 
 def state_label_int(target_row) -> int:
@@ -256,15 +258,12 @@ def state_label_int(target_row) -> int:
 
 
 def write_projection_csv(path, projection: ProjectionResult, probe: Trial) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "pc1", "pc2", "pc3", "state_label"])
-        for i, point in enumerate(projection.points):
-            step = projection.start_step + i
-            writer.writerow(
-                [step] + [F32_FMT % v for v in point]
-                + [state_label_int(probe.targets[step])]
-            )
+    start = projection.start_step
+    _write_csv(path, [["step", "pc1", "pc2", "pc3", "state_label"]] + [
+        [start + i] + [F32_FMT % v for v in point]
+        + [state_label_int(probe.targets[start + i])]
+        for i, point in enumerate(projection.points)
+    ])
 
 
 def write_connectivity_csv(path, w_rec: np.ndarray) -> None:
@@ -272,7 +271,4 @@ def write_connectivity_csv(path, w_rec: np.ndarray) -> None:
     w = np.asarray(w_rec, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"connectivity matrix must be square, got {w.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in w:
-            writer.writerow([F32_FMT % v for v in row])
+    _write_csv(path, [[F32_FMT % v for v in row] for row in w])

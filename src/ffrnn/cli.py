@@ -32,52 +32,36 @@ from .linalg import SeededRng
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .svgplot import write_projection_svg, write_spectrum_svg
 from .task import TaskConfig, generate_dataset, generate_probe, load_dataset, save_dataset
-from .tensorio import sha256_file
+from .tensorio import config_from, dump_json, sha256_file, write_file, write_json
 from .training import DivergenceError, TrainConfig, evaluate, run_gradcheck, train
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FFRNN_SEED", "0"))
-
-
-def _write_run_manifest(out_dir, command, configs, seeds, outputs, wall_time):
-    manifest = {
+def _finish(out, command, configs, seeds, outputs, start, summary) -> int:
+    """Write ``out/run_manifest.json`` listing ``outputs`` with their hashes,
+    print ``summary`` and return exit code 0."""
+    write_json(os.path.join(out, "run_manifest.json"), {
         "command": command,
         "version": __version__,
         "configs": configs,
         "seeds": seeds,
-        "wall_time_s": wall_time,
-        "outputs": [
-            {"path": os.path.basename(p), "sha256": sha256_file(p)}
-            for p in outputs if os.path.isfile(p)
-        ],
-    }
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+        "wall_time_s": time.perf_counter() - start,
+        "outputs": [{"path": os.path.basename(p), "sha256": sha256_file(p)}
+                    for p in outputs],
+    })
+    print(summary)
+    return 0
 
 
-def _load_config_file(path) -> dict:
-    if path.endswith(".toml"):
-        import tomllib
-
-        with open(path, "rb") as fh:
-            return tomllib.load(fh)
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _probe_for(manifest, probe_dir=None):
+def _probe_for(checkpoint_dir, manifest, probe_dir):
+    """The probe trial: trial 0 of ``probe_dir``, else the probe of the
+    checkpoint's task section."""
     if probe_dir:
         return load_dataset(probe_dir).trial(0)
-    task = manifest.get("task")
-    cfg = TaskConfig(**task) if task else TaskConfig()
-    return generate_probe(cfg)
+    source = os.path.join(checkpoint_dir, "manifest.json") + " task section"
+    return generate_probe(config_from(TaskConfig, manifest.get("task") or {}, source))
 
 
 def cmd_gen(args) -> int:
@@ -89,10 +73,9 @@ def cmd_gen(args) -> int:
     )
     dataset = generate_dataset(config, args.samples)
     paths = save_dataset(dataset, args.out)
-    _write_run_manifest(args.out, "gen", {"task": dataclasses.asdict(config)},
-                        {"seed": args.seed}, paths, time.perf_counter() - start)
-    print(f"wrote {args.samples} samples to {args.out}")
-    return 0
+    return _finish(args.out, "gen", {"task": dataclasses.asdict(config)},
+                   {"seed": args.seed}, paths, start,
+                   f"wrote {args.samples} samples to {args.out}")
 
 
 def cmd_train(args) -> int:
@@ -114,14 +97,13 @@ def cmd_train(args) -> int:
         "samples": dataset.samples,
     }
 
-    os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.csv")
-    with open(history_path, "w") as fh:
-        fh.write("epoch,loss\n")
+    history = ["epoch,loss\n"]
+    write_file(history_path, history[0])
 
     def epoch_hook(epoch, epoch_params, epoch_loss):
-        with open(history_path, "a") as fh:
-            fh.write(f"{epoch},{epoch_loss!r}\n")
+        history.append(f"{epoch},{epoch_loss!r}\n")
+        write_file(history_path, "".join(history))
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
             save_checkpoint(os.path.join(args.out, f"epoch_{epoch:04d}"),
                             epoch_params, model_cfg, metadata)
@@ -144,16 +126,16 @@ def cmd_train(args) -> int:
 
     outputs = [os.path.join(args.out, name) for name in
                ("w_in.rnt", "w_rec.rnt", "w_out.rnt", "history.csv")]
-    _write_run_manifest(
+    final = report.final_eval
+    summary = (f"final loss {report.loss_per_epoch[-1]:.6g}"
+               if report.loss_per_epoch else "no epochs run")
+    return _finish(
         args.out, "train",
         {"model": dataclasses.asdict(model_cfg),
          "training": dataclasses.asdict(train_cfg)},
-        {"seed": args.seed}, outputs, time.perf_counter() - start)
-    final = report.final_eval
-    print(f"final loss {report.loss_per_epoch[-1]:.6g}" if report.loss_per_epoch
-          else "no epochs run")
-    print(f"held-out mse {final.mse:.6g} accuracy {final.state_accuracy:.4f}")
-    return 0
+        {"seed": args.seed}, outputs, start,
+        f"{summary}\nheld-out mse {final.mse:.6g} "
+        f"accuracy {final.state_accuracy:.4f}")
 
 
 def cmd_eval(args) -> int:
@@ -161,14 +143,12 @@ def cmd_eval(args) -> int:
     if args.data:
         data = load_dataset(args.data)
     else:
-        data = _probe_for(manifest, args.probe)
+        data = _probe_for(args.checkpoint, manifest, args.probe)
     metrics = evaluate(params, model_cfg, data, transition_pad=args.pad)
     payload = dataclasses.asdict(metrics)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dump_json(payload))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, payload)
     return 0
 
 
@@ -176,7 +156,6 @@ def cmd_spectrum(args) -> int:
     start = time.perf_counter()
     params, _, _ = load_checkpoint(args.checkpoint)
     spec = spectrum(params.w_rec, eps_circle=args.eps)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "spectrum.csv")
     write_spectrum_csv(csv_path, spec)
     outputs = [csv_path]
@@ -187,23 +166,20 @@ def cmd_spectrum(args) -> int:
         svg_path = os.path.join(args.out, "spectrum.svg")
         write_spectrum_svg(svg_path, spec.eigenvalues, spec.eps_circle)
         outputs.append(svg_path)
-    _write_run_manifest(args.out, "spectrum", {"eps_circle": args.eps}, {},
-                        outputs, time.perf_counter() - start)
-    print(json.dumps({
-        "n_outside": spec.n_outside,
-        "radius_min": spec.radius_min,
-        "radius_max": spec.radius_max,
-        "radius_mean": spec.radius_mean,
-    }, indent=2, sort_keys=True))
-    return 0
+    return _finish(args.out, "spectrum", {"eps_circle": args.eps}, {}, outputs,
+                   start, dump_json({
+                       "n_outside": spec.n_outside,
+                       "radius_min": spec.radius_min,
+                       "radius_max": spec.radius_max,
+                       "radius_mean": spec.radius_mean,
+                   }))
 
 
 def cmd_project(args) -> int:
     start = time.perf_counter()
     params, model_cfg, manifest = load_checkpoint(args.checkpoint)
-    probe = _probe_for(manifest, args.probe)
+    probe = _probe_for(args.checkpoint, manifest, args.probe)
     projection = collect_and_project(params, model_cfg, probe)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "projection.csv")
     write_projection_csv(csv_path, projection, probe)
     outputs = [csv_path]
@@ -215,20 +191,17 @@ def cmd_project(args) -> int:
             svg_path = os.path.join(args.out, name)
             write_projection_svg(svg_path, projection.points, labels, axes)
             outputs.append(svg_path)
-    _write_run_manifest(args.out, "project", {}, {}, outputs,
-                        time.perf_counter() - start)
-    print(json.dumps({
+    return _finish(args.out, "project", {}, {}, outputs, start, dump_json({
         "points": len(projection.points),
         "start_step": projection.start_step,
         "explained_variance_ratio":
             [float(r) for r in projection.explained_variance_ratio],
-    }, indent=2, sort_keys=True))
-    return 0
+    }))
 
 
 def _cube_report_for(checkpoint_dir, probe_dir, margin):
     params, model_cfg, manifest = load_checkpoint(checkpoint_dir)
-    probe = _probe_for(manifest, probe_dir)
+    probe = _probe_for(checkpoint_dir, manifest, probe_dir)
     projection = collect_and_project(params, model_cfg, probe)
     return memory_states(projection, probe, hold_margin=margin)
 
@@ -236,29 +209,14 @@ def _cube_report_for(checkpoint_dir, probe_dir, margin):
 def cmd_cube(args) -> int:
     start = time.perf_counter()
     report = _cube_report_for(args.checkpoint, args.probe, args.margin)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "cube_report.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_run_manifest(args.out, "cube", {"hold_margin": args.margin}, {},
-                        [path], time.perf_counter() - start)
-    print(json.dumps({
-        "complete": report.complete,
-        "separation_ratio": report.separation_ratio,
-        "missing_states": len(report.missing_states),
-    }, indent=2, sort_keys=True))
-    return 0
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
+    write_json(path, report.to_dict())
+    return _finish(args.out, "cube", {"hold_margin": args.margin}, {}, [path],
+                   start, dump_json({
+                       "complete": report.complete,
+                       "separation_ratio": report.separation_ratio,
+                       "missing_states": len(report.missing_states),
+                   }))
 
 
 def cmd_compare(args) -> int:
@@ -266,17 +224,11 @@ def cmd_compare(args) -> int:
     reports = [_cube_report_for(c, args.probe, args.margin)
                for c in args.checkpoints]
     summary = compare_realizations(reports)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare_report.json")
-    payload = _json_safe(
-        {"per_report": summary.per_report, "pairwise": summary.pairwise})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_run_manifest(args.out, "compare", {"hold_margin": args.margin}, {},
-                        [path], time.perf_counter() - start)
-    print(json.dumps(payload["pairwise"], indent=2, sort_keys=True))
-    return 0
+    write_json(path, {"per_report": summary.per_report,
+                      "pairwise": summary.pairwise})
+    return _finish(args.out, "compare", {"hold_margin": args.margin}, {}, [path],
+                   start, dump_json(summary.pairwise))
 
 
 def cmd_gradcheck(args) -> int:
@@ -304,15 +256,14 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
         description="Train and analyze flip-flop memory recurrent networks.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", default=None,
-                        help="JSON or TOML file with default flag values")
+                        help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("gen", help="generate a flip-flop dataset")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--bits", type=int, default=3)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--delay", type=int, default=20)
     p.add_argument("--pulse-width", type=int, default=10)
@@ -333,7 +284,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--bias", action="store_true")
     p.add_argument("--clip", type=float, default=0.5,
                    help="global gradient-norm clip; 0 disables")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eval-fraction", type=float, default=0.05)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -380,7 +331,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck, **defaults)
 
     return parser
@@ -395,7 +346,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if cfg_path is not None:
         try:
-            values = _load_config_file(cfg_path)
+            with open(cfg_path) as fh:
+                values = json.load(fh)
         except (OSError, ValueError) as exc:
             print(f"cannot read config file: {exc}", file=sys.stderr)
             return USAGE_ERROR

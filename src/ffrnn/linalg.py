@@ -15,6 +15,13 @@ import numpy as np
 DTYPE = np.float64
 
 
+def derive_seed(seed: int, tag) -> int:
+    """64-bit child seed hashed from (seed, tag); ``SeededRng.derive`` seeds
+    its child with it."""
+    digest = hashlib.sha256(f"{int(seed)}|{tag}".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 class SeededRng:
     """Deterministic PCG64 stream with stable per-purpose derivation.
 
@@ -29,8 +36,7 @@ class SeededRng:
 
     def derive(self, tag) -> "SeededRng":
         """Child stream keyed by ``tag`` (any str/int-convertible value)."""
-        digest = hashlib.sha256(f"{self.seed}|{tag}".encode()).digest()
-        return SeededRng(int.from_bytes(digest[:8], "little"))
+        return SeededRng(derive_seed(self.seed, tag))
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SeededRng, orthogonal_init, random_normal
-from .tensorio import read_tensor, write_tensor
+from .tensorio import config_from, read_tensor, write_json, write_tensor
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,11 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
-def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
-                h0: np.ndarray):
-    """The recurrence over a [batch, t_steps, n_in] tensor, time-major.
+def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray):
+    """The recurrence over a [batch, t_steps, n_in] tensor, time-major, from
+    the zero state.
 
-    Returns (hs, ss): hs is [t_steps + 1, batch, n_units] with hs[0] = h0 and
+    Returns (hs, ss): hs is [t_steps + 1, batch, n_units] with hs[0] = 0 and
     hs[t + 1] the state after step t; ss is [t_steps, batch, n_units] with
     ss[t] = tanh(a_t). At alpha = 1 the state is tanh(a_t) itself and ss is
     the view hs[1:]. Values are not checked for finiteness here.
@@ -108,7 +108,7 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
     n = config.n_units
     alpha = config.alpha
     hs = np.empty((t_steps + 1, batch, n))
-    hs[0] = h0
+    hs[0] = 0.0
     ss = hs[1:] if alpha == 1.0 else np.empty((t_steps, batch, n))
     drive = x.transpose(1, 0, 2).reshape(-1, n_in) @ params.w_in.T
     drive += params.b_rec
@@ -126,9 +126,8 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
     return hs, ss
 
 
-def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray,
-                  h0: np.ndarray | None = None):
-    """Forward over a [batch, t_steps, n_in] tensor.
+def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
+    """Forward over a [batch, t_steps, n_in] tensor from the zero state.
 
     Returns (h, z) with shapes [batch, t_steps, n_units] and
     [batch, t_steps, n_out]. Batch elements are independent. The recurrence
@@ -140,14 +139,9 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != config.n_in:
         raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
-    if h0 is None:
-        h0 = np.zeros(config.n_units)
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (config.n_units,):
-        raise ValueError(f"h0 has shape {h0.shape}, expected ({config.n_units},)")
 
     batch, t_steps, _ = x.shape
-    hs, _ = _recurrence(params, config, x, h0)
+    hs, _ = _recurrence(params, config, x)
     z = hs[1:].reshape(-1, config.n_units) @ params.w_out.T
     z += params.b_out
     z = z.reshape(t_steps, batch, config.n_out)
@@ -157,7 +151,6 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray,
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
                     metadata: dict | None = None) -> None:
     """Write manifest.json plus one tensor file per weight matrix."""
-    os.makedirs(out_dir, exist_ok=True)
     write_tensor(os.path.join(out_dir, "w_in.rnt"), params.w_in)
     write_tensor(os.path.join(out_dir, "w_rec.rnt"), params.w_rec)
     write_tensor(os.path.join(out_dir, "w_out.rnt"), params.w_out)
@@ -166,9 +159,7 @@ def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
         write_tensor(os.path.join(out_dir, "b_out.rnt"), params.b_out)
     manifest = {"model": dataclasses.asdict(config)}
     manifest.update(metadata or {})
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_checkpoint(in_dir):
@@ -180,10 +171,7 @@ def load_checkpoint(in_dir):
         manifest = json.load(fh)
     if "model" not in manifest:
         raise ValueError(f"{manifest_path}: missing 'model' section")
-    unknown = set(manifest["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
-    if unknown:
-        raise ValueError(f"{manifest_path}: unknown model keys {sorted(unknown)}")
-    config = ModelConfig(**manifest["model"])
+    config = config_from(ModelConfig, manifest["model"], manifest_path)
     w_in = read_tensor(os.path.join(in_dir, "w_in.rnt"))
     w_rec = read_tensor(os.path.join(in_dir, "w_rec.rnt"))
     w_out = read_tensor(os.path.join(in_dir, "w_out.rnt"))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensorio import write_file
+
 SIZE = 480
 MARGIN = 40
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -56,10 +58,8 @@ def write_spectrum_svg(path, eigvals, eps_circle: float = 0.05) -> None:
     )
     colors = ["#d62728" if abs(v) > 1 + eps_circle else "#1f77b4" for v in eigvals]
     points = [(v.real, v.imag) for v in eigvals]
-    svg = _scatter_svg(points, colors, (-lim, lim), (-lim, lim),
-                       "recurrent-matrix eigenvalues", extra=circle)
-    with open(path, "w") as fh:
-        fh.write(svg)
+    write_file(path, _scatter_svg(points, colors, (-lim, lim), (-lim, lim),
+                                  "recurrent-matrix eigenvalues", extra=circle))
 
 
 def write_projection_svg(path, points, labels, axes=(0, 1)) -> None:
@@ -72,7 +72,5 @@ def write_projection_svg(path, points, labels, axes=(0, 1)) -> None:
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     lim = (lo - pad, hi + pad)
     colors = [PALETTE[l % 8] if l >= 0 else "#cccccc" for l in labels]
-    svg = _scatter_svg(xy, colors, lim, lim,
-                       f"activity projection (pc{i + 1} vs pc{j + 1})")
-    with open(path, "w") as fh:
-        fh.write(svg)
+    write_file(path, _scatter_svg(xy, colors, lim, lim,
+                                  f"activity projection (pc{i + 1} vs pc{j + 1})"))

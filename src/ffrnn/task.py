@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SeededRng
-from .tensorio import read_tensor, write_tensor
+from .linalg import SeededRng, derive_seed
+from .tensorio import config_from, read_tensor, write_json, write_tensor
 
 PROBE_STEPS = 600
 PROBE_HOLD_MIN = 60
@@ -153,8 +153,9 @@ def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
 
 
 def trial_rng(config: TaskConfig, index: int) -> SeededRng:
-    """Stream for sample ``index``; independent of all other samples."""
-    return SeededRng(config.seed).derive(f"trial|{index}")
+    """Stream for sample ``index``; independent of all other samples. The
+    same stream as ``SeededRng(config.seed).derive(f"trial|{index}")``."""
+    return SeededRng(derive_seed(config.seed, f"trial|{index}"))
 
 
 def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
@@ -208,13 +209,10 @@ def generate_probe(config: TaskConfig) -> Trial:
 def save_dataset(dataset: Dataset, out_dir) -> list:
     """Write x.rnt, y.rnt and config.json; returns the file paths. The events
     are not written: ``load_dataset`` regenerates them from the config."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in ("x.rnt", "y.rnt", "config.json")]
     write_tensor(paths[0], dataset.x)
     write_tensor(paths[1], dataset.y)
-    with open(paths[2], "w") as fh:
-        json.dump(dataclasses.asdict(dataset.config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths[2], dataclasses.asdict(dataset.config))
     return paths
 
 
@@ -225,7 +223,7 @@ def load_dataset(in_dir) -> Dataset:
     if not os.path.isfile(config_path):
         raise FileNotFoundError(f"no config.json under {in_dir}")
     with open(config_path) as fh:
-        config = TaskConfig(**json.load(fh))
+        config = config_from(TaskConfig, json.load(fh), config_path)
     x = read_tensor(os.path.join(in_dir, "x.rnt"))
     y = read_tensor(os.path.join(in_dir, "y.rnt"))
     if x.shape != y.shape or x.ndim != 3:

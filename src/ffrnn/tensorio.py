@@ -1,12 +1,20 @@
-"""Binary tensor interchange files.
+"""How every artifact is written and read back.
 
-Layout: magic b"RNT1", then little-endian uint32 fields version=1, rank,
-dims[rank], followed by the payload as row-major little-endian IEEE-754
-float32. Internal float64 values are rounded to float32 on write.
+``write_file`` is the one place a file is opened for writing, ``dump_json``
+the one JSON form, and ``config_from`` turns a JSON table back into a config.
+
+Tensor files: magic b"RNT1", then little-endian uint32 fields version=1,
+rank, dims[rank], followed by the payload as row-major little-endian
+IEEE-754 float32. Internal float64 values are rounded to float32 on write.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -15,13 +23,68 @@ MAGIC = b"RNT1"
 VERSION = 1
 
 
+def write_file(path, data) -> None:
+    """Replace ``path`` with ``data`` (str, written as UTF-8, or bytes).
+
+    The data goes to ``<path>.tmp<pid>`` first, which ``os.replace`` then
+    moves over ``path``; on any error the temporary file is removed and the
+    old ``path``, if any, is left as it was.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def dump_json(obj) -> str:
+    """``obj`` as JSON text: sorted keys, indent 2, and null in place of a
+    NaN or infinite float, which JSON cannot carry."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True)
+
+
+def write_json(path, obj) -> None:
+    """``dump_json(obj)`` plus a trailing newline, through ``write_file``."""
+    write_file(path, dump_json(obj) + "\n")
+
+
+def config_from(cls, mapping, source):
+    """``cls(**mapping)`` for a config dataclass read from a file.
+
+    A key that is not a field of ``cls`` raises a ValueError naming
+    ``source`` and the key; so does a missing field or a value of the wrong
+    type, for which the constructor raises a TypeError.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{source}: expected a table of {cls.__name__} fields")
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"{source}: unknown {cls.__name__} keys {sorted(unknown)}")
+    try:
+        return cls(**mapping)
+    except TypeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def write_tensor(path, array) -> None:
     arr = np.ascontiguousarray(array, dtype=np.float64)
     header = MAGIC + struct.pack(f"<{2 + arr.ndim}I", VERSION, arr.ndim, *arr.shape)
-    payload = arr.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    write_file(path, header + arr.astype("<f4").tobytes())
 
 
 def read_tensor(path) -> np.ndarray:
@@ -57,4 +120,3 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-

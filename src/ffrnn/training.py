@@ -19,8 +19,6 @@ from .linalg import SeededRng
 from .model import ModelConfig, RnnParams, _recurrence, batch_forward
 from .task import Dataset, Trial
 
-PARAM_KEYS = ("w_in", "w_rec", "w_out", "b_rec", "b_out")
-
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
 LR_FLOOR = 0.3
 
@@ -137,7 +135,7 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     alpha = config.alpha
 
     # forward pass: hs_full[t + 1] = h_t after step t, ss[t] = tanh(a_t)
-    hs_full, ss = _recurrence(params, config, batch_x, np.zeros(n))
+    hs_full, ss = _recurrence(params, config, batch_x)
 
     # rows are (t, batch) pairs in time-major order
     hs = hs_full[1:].reshape(-1, n)
@@ -312,9 +310,9 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside the transition window
     of every pulse event (``_clean_hold_mask``), and sign(z) equals the
-    target on all channels. The forward pass runs over slices of
-    ``_EVAL_CHUNK`` trials, so only one slice's hidden trajectory is held at
-    a time.
+    target on all channels; it is NaN when no step is a clean hold. The
+    forward pass runs over slices of ``_EVAL_CHUNK`` trials, so only one
+    slice's hidden trajectory is held at a time.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -335,7 +333,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         considered += int(valid.sum())
         matched += int((ok & valid).sum())
     mse = squared / y.size if y.size else float("nan")
-    accuracy = matched / considered if considered else 0.0
+    accuracy = matched / considered if considered else float("nan")
     return EvalMetrics(mse=mse, state_accuracy=accuracy)
 
 

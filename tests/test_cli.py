@@ -1,5 +1,4 @@
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -176,8 +175,10 @@ class TestTrain:
                        "--epochs", 2, "--batch", 8, "--seed", 6, "--out", out)
         assert code == 0
         metrics_file = tmp_path / "metrics.json"
+        # at the default pad of 10 the transition windows of small_data
+        # cover every step; at pad 0, 119 steps are clean holds
         code = run_cli("eval", "--checkpoint", out, "--data", small_data,
-                       "--out", metrics_file)
+                       "--pad", 0, "--out", metrics_file)
         assert code == 0
         metrics = json.loads(metrics_file.read_text())
         assert 0.0 <= metrics["state_accuracy"] <= 1.0
@@ -202,6 +203,36 @@ def manifest_with_unknown_model_key(tmp_path, _data):
     return ["eval", "--checkpoint", ckpt]
 
 
+def manifest_without_n_units(tmp_path, data):
+    args = manifest_with_unknown_model_key(tmp_path, data)
+    manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
+    del manifest["model"]["n_layers"], manifest["model"]["n_units"]
+    (tmp_path / "odd" / "manifest.json").write_text(json.dumps(manifest))
+    return args
+
+
+def dataset_with_unknown_task_key(tmp_path, data):
+    cfg = json.loads((data / "config.json").read_text())
+    cfg["n_channels"] = 3
+    odd = tmp_path / "odd_data"
+    odd.mkdir()
+    for name in ("x.rnt", "y.rnt"):
+        (odd / name).write_bytes((data / name).read_bytes())
+    (odd / "config.json").write_text(json.dumps(cfg))
+    ckpt = tmp_path / "ckpt"
+    cfg = ModelConfig(n_units=4)
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg)
+    return ["eval", "--checkpoint", ckpt, "--data", odd]
+
+
+def manifest_with_unknown_task_key(tmp_path, _data):
+    ckpt = tmp_path / "odd"
+    cfg = ModelConfig(n_units=4)
+    task = {"seed": 3, "n_channels": 3}
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg, {"task": task})
+    return ["cube", "--checkpoint", ckpt, "--out", tmp_path / "cube"]
+
+
 def config_holding_a_list(tmp_path, _data):
     (tmp_path / "list.json").write_text("[3, 64]")
     return ["--config", tmp_path / "list.json", "gen", "--out", tmp_path / "d"]
@@ -216,6 +247,11 @@ def config_holding_a_list(tmp_path, _data):
                                          "--out", tmp_path / "t"],
                  "eval_fraction", id="negative-eval-fraction"),
     pytest.param(manifest_with_unknown_model_key, "n_layers", id="unknown-model-key"),
+    pytest.param(manifest_without_n_units, "n_units", id="missing-model-key"),
+    pytest.param(dataset_with_unknown_task_key, "n_channels",
+                 id="unknown-task-key-in-dataset"),
+    pytest.param(manifest_with_unknown_task_key, "n_channels",
+                 id="unknown-task-key-in-manifest"),
 ])
 def test_bad_input_exits_2(tmp_path, small_data, make_args, message, capsys):
     assert exit_code(*make_args(tmp_path, small_data)) == 2
@@ -244,6 +280,18 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir,
                        "--out", out) == 0
         assert json.loads(out.read_text())["state_accuracy"] == 1.0
+
+    def test_no_clean_hold_writes_null_accuracy(self, tmp_path):
+        # no pulse fits in 40 steps, so no step is a clean hold
+        task_cfg = TaskConfig(t_steps=40, min_gap=50, max_gap=60)
+        data_dir = tmp_path / "data"
+        save_dataset(generate_dataset(task_cfg, 3), data_dir)
+        ckpt = tmp_path / "latch"
+        write_latch_checkpoint(ckpt, task_cfg)
+        out = tmp_path / "m.json"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir,
+                       "--out", out) == 0
+        assert json.loads(out.read_text())["state_accuracy"] is None
 
     def test_eval_on_probe_by_default(self, tmp_path):
         task_cfg = TaskConfig(noise_std=0.0, seed=9)
@@ -341,11 +389,10 @@ class TestGradcheckCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ, FFRNN_SEED="77")
         proc = subprocess.run(
             [sys.executable, "-m", "ffrnn.cli", "gen", "--samples", "2",
-             "--steps", "60", "--out", str(tmp_path / "d")],
-            capture_output=True, text=True, env=env)
+             "--steps", "60", "--seed", "77", "--out", str(tmp_path / "d")],
+            capture_output=True, text=True)
         assert proc.returncode == 0
         cfg = json.loads((tmp_path / "d" / "config.json").read_text())
         assert cfg["seed"] == 77

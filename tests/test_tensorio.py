@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from ffrnn.linalg import SeededRng
-from ffrnn.tensorio import read_tensor, write_tensor
+from ffrnn.tensorio import read_tensor, write_file, write_json, write_tensor
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 5, 3)])
@@ -58,3 +58,21 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(good)
     with pytest.raises(ValueError, match="payload"):
         read_tensor(path)
+
+
+def test_write_json_form(tmp_path):
+    # parent created, keys sorted, indent 2, null for non-finite, final newline
+    path = tmp_path / "sub" / "m.json"
+    write_json(path, {"b": float("inf"), "a": [1.5, float("nan")]})
+    assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": null\n}\n'
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "a.txt"
+    write_file(path, "old\n")
+    # a lone surrogate cannot be encoded, so the write fails after the
+    # temporary file was opened
+    with pytest.raises(UnicodeEncodeError):
+        write_file(path, "new \ud800")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]

@@ -349,6 +349,15 @@ class TestEvaluate:
         metrics = evaluate(params, ModelConfig(n_units=3), ds)
         assert metrics.state_accuracy == 0.0
 
+    def test_no_clean_hold_is_nan(self):
+        # no pulse fits in 40 steps, so no target is ever committed
+        cfg = TaskConfig(t_steps=40, min_gap=50, max_gap=60)
+        ds = generate_dataset(cfg, 3)
+        assert not any(ds.events)
+        metrics = evaluate(latch_params(), ModelConfig(n_units=3), ds)
+        assert np.isnan(metrics.state_accuracy)
+        assert np.isfinite(metrics.mse)
+
     def test_untrained_network_near_chance(self):
         cfg = TaskConfig(seed=31)
         ds = generate_dataset(cfg, 10)
