@@ -55,11 +55,8 @@ def _finish(out, command, configs, seeds, outputs, start, summary) -> int:
     return 0
 
 
-def _probe_for(checkpoint_dir, manifest, probe_dir):
-    """The probe trial: trial 0 of ``probe_dir``, else the probe of the
-    checkpoint's task section."""
-    if probe_dir:
-        return load_dataset(probe_dir).trial(0)
+def _probe_for(checkpoint_dir, manifest):
+    """The probe of the checkpoint's task section."""
     source = os.path.join(checkpoint_dir, "manifest.json") + " task section"
     return generate_probe(config_from(TaskConfig, manifest.get("task") or {}, source))
 
@@ -143,7 +140,7 @@ def cmd_eval(args) -> int:
     if args.data:
         data = load_dataset(args.data)
     else:
-        data = _probe_for(args.checkpoint, manifest, args.probe)
+        data = _probe_for(args.checkpoint, manifest)
     metrics = evaluate(params, model_cfg, data, transition_pad=args.pad)
     payload = dataclasses.asdict(metrics)
     print(dump_json(payload))
@@ -178,7 +175,7 @@ def cmd_spectrum(args) -> int:
 def cmd_project(args) -> int:
     start = time.perf_counter()
     params, model_cfg, manifest = load_checkpoint(args.checkpoint)
-    probe = _probe_for(args.checkpoint, manifest, args.probe)
+    probe = _probe_for(args.checkpoint, manifest)
     projection = collect_and_project(params, model_cfg, probe)
     csv_path = os.path.join(args.out, "projection.csv")
     write_projection_csv(csv_path, projection, probe)
@@ -199,16 +196,16 @@ def cmd_project(args) -> int:
     }))
 
 
-def _cube_report_for(checkpoint_dir, probe_dir, margin):
+def _cube_report_for(checkpoint_dir, margin):
     params, model_cfg, manifest = load_checkpoint(checkpoint_dir)
-    probe = _probe_for(checkpoint_dir, manifest, probe_dir)
+    probe = _probe_for(checkpoint_dir, manifest)
     projection = collect_and_project(params, model_cfg, probe)
     return memory_states(projection, probe, hold_margin=margin)
 
 
 def cmd_cube(args) -> int:
     start = time.perf_counter()
-    report = _cube_report_for(args.checkpoint, args.probe, args.margin)
+    report = _cube_report_for(args.checkpoint, args.margin)
     path = os.path.join(args.out, "cube_report.json")
     write_json(path, report.to_dict())
     return _finish(args.out, "cube", {"hold_margin": args.margin}, {}, [path],
@@ -221,8 +218,7 @@ def cmd_cube(args) -> int:
 
 def cmd_compare(args) -> int:
     start = time.perf_counter()
-    reports = [_cube_report_for(c, args.probe, args.margin)
-               for c in args.checkpoints]
+    reports = [_cube_report_for(c, args.margin) for c in args.checkpoints]
     summary = compare_realizations(reports)
     path = os.path.join(args.out, "compare_report.json")
     write_json(path, {"per_report": summary.per_report,
@@ -293,7 +289,6 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--probe", default=None)
     p.add_argument("--pad", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval, **defaults)
@@ -307,21 +302,18 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project probe activity onto top-3 axes")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--probe", default=None)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project, **defaults)
 
     p = sub.add_parser("cube", help="memory-state cube geometry report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--probe", default=None)
     p.add_argument("--margin", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cube, **defaults)
 
     p = sub.add_parser("compare", help="compare cube reports across checkpoints")
     p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--probe", default=None)
     p.add_argument("--margin", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare, **defaults)

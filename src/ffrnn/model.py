@@ -9,6 +9,10 @@ Readout is linear: z = W_out h + b_out. The recurrent matrix starts as a
 random orthogonal matrix; input/output weights are Gaussian with the Glorot
 variance 2/(fan_in + fan_out), the variance of the default kernel
 initializer of Keras' SimpleRNN and Dense layers.
+
+The recurrence runs time-major in one [t_steps + 1, batch, n + n_in + 1]
+buffer whose row t holds [h_t | x_t | 1], so each step is a single GEMM
+with [W_rec | W_in | b_rec] followed by tanh (``_recurrence``).
 """
 
 from __future__ import annotations
@@ -95,35 +99,51 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
-def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray):
-    """The recurrence over a [batch, t_steps, n_in] tensor, time-major, from
-    the zero state.
+def _time_major(t_steps: int, batch: int, width: int, flat=None):
+    """A [t_steps + 1, batch, width] float64 buffer: a fresh array, or a
+    contiguous prefix of the 1-D array ``flat``, so its strides are the
+    same either way."""
+    shape = (t_steps + 1, batch, width)
+    if flat is None:
+        return np.empty(shape)
+    size = shape[0] * shape[1] * shape[2]
+    if flat.size < size:
+        raise ValueError(f"workspace holds {flat.size} values, {size} needed")
+    return flat[:size].reshape(shape)
 
-    Returns (hs, ss): hs is [t_steps + 1, batch, n_units] with hs[0] = 0 and
-    hs[t + 1] the state after step t; ss is [t_steps, batch, n_units] with
-    ss[t] = tanh(a_t). At alpha = 1 the state is tanh(a_t) itself and ss is
-    the view hs[1:]. Values are not checked for finiteness here.
+
+def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
+                hx: np.ndarray, ss: np.ndarray | None = None) -> None:
+    """The recurrence over a [batch, t_steps, n_in] tensor, time-major, from
+    the zero state, written into the [t_steps + 1, batch, n_units + n_in + 1]
+    buffer ``hx``.
+
+    Row t of hx holds [h_t | x_t | 1]: h_0 = 0, h_{t+1} is the state after
+    step t, and row t_steps holds h only. Each step is one GEMM,
+    [h_t | x_t | 1] @ [W_rec | W_in | b_rec]^T, then tanh. At alpha = 1 the
+    state is tanh(a_t) itself; at alpha < 1, tanh(a_t) goes to ss[t] when ss
+    (a [t_steps, batch, n_units] view) is given. Values are not checked for
+    finiteness here.
     """
-    batch, t_steps, n_in = x.shape
+    batch, t_steps, _ = x.shape
     n = config.n_units
     alpha = config.alpha
-    hs = np.empty((t_steps + 1, batch, n))
-    hs[0] = 0.0
-    ss = hs[1:] if alpha == 1.0 else np.empty((t_steps, batch, n))
-    drive = x.transpose(1, 0, 2).reshape(-1, n_in) @ params.w_in.T
-    drive += params.b_rec
-    drive = drive.reshape(t_steps, batch, n)
-    w_rec_t = params.w_rec.T
+    hx[0, :, :n] = 0.0
+    hx[:t_steps, :, n:-1] = x.transpose(1, 0, 2)
+    hx[:t_steps, :, -1] = 1.0
+    w = np.concatenate([params.w_rec, params.w_in, params.b_rec[:, None]], axis=1).T
     a = np.empty((batch, n))
     for t in range(t_steps):
-        np.matmul(hs[t], w_rec_t, out=a)
-        a += drive[t]
-        np.tanh(a, out=ss[t])
-        if alpha != 1.0:
-            np.multiply(hs[t], 1.0 - alpha, out=hs[t + 1])
-            np.multiply(ss[t], alpha, out=a)
-            hs[t + 1] += a
-    return hs, ss
+        np.matmul(hx[t], w, out=a)
+        h = hx[t + 1, :, :n]
+        if alpha == 1.0:
+            np.tanh(a, out=h)
+        else:
+            s = a if ss is None else ss[t]
+            np.tanh(a, out=s)
+            np.multiply(hx[t, :, :n], 1.0 - alpha, out=h)
+            np.multiply(s, alpha, out=a)
+            h += a
 
 
 def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
@@ -131,9 +151,10 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
 
     Returns (h, z) with shapes [batch, t_steps, n_units] and
     [batch, t_steps, n_out]. Batch elements are independent. The recurrence
-    runs time-major, so h and z are transposed views of time-major buffers,
-    not contiguous arrays. Non-finite values are returned as they are;
-    ``training.bptt_gradients`` checks finiteness once per batch.
+    runs time-major in a fresh buffer, so h and z are transposed views of
+    time-major buffers, not contiguous arrays. Non-finite values are
+    returned as they are; ``training.bptt_gradients`` checks finiteness once
+    per batch.
     """
     _check_shapes(params, config)
     x = np.asarray(x, dtype=float)
@@ -141,11 +162,14 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
         raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
 
     batch, t_steps, _ = x.shape
-    hs, _ = _recurrence(params, config, x)
-    z = hs[1:].reshape(-1, config.n_units) @ params.w_out.T
+    n = config.n_units
+    hx = _time_major(t_steps, batch, n + config.n_in + 1)
+    _recurrence(params, config, x, hx)
+    hs = hx[1:, :, :n]
+    z = hs.reshape(-1, n) @ params.w_out.T
     z += params.b_out
     z = z.reshape(t_steps, batch, config.n_out)
-    return hs[1:].transpose(1, 0, 2), z.transpose(1, 0, 2)
+    return hs.transpose(1, 0, 2), z.transpose(1, 0, 2)
 
 
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,

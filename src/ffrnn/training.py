@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SeededRng
-from .model import ModelConfig, RnnParams, _recurrence, batch_forward
+from .model import ModelConfig, RnnParams, _recurrence, _time_major, batch_forward
 from .task import Dataset, Trial
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
@@ -73,6 +73,11 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        # a negative clip norm would flip every gradient's sign
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+            raise ValueError("grad_clip_norm must be > 0, or None to disable")
+        if not self.eps_hat > 0:
+            raise ValueError("eps_hat must be > 0")
 
     def learning_rate_at(self, step: int, total_updates: int) -> float:
         """Learning rate of update ``step`` (0-based) out of ``total_updates``."""
@@ -109,17 +114,30 @@ def loss(z: np.ndarray, z_target: np.ndarray) -> float:
     return float(np.mean((z - z_target) ** 2))
 
 
+def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
+    """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
+    trials of ``t_steps`` steps: two flat float64 arrays, of which each call
+    uses a contiguous prefix."""
+    rows = (t_steps + 1) * batch
+    n, n_in, n_out = config.n_units, config.n_in, config.n_out
+    return np.empty(rows * (n + n_in + 1)), np.empty(rows * (n_out + n))
+
+
 def bptt_gradients(params: RnnParams, config: ModelConfig,
-                   batch_x: np.ndarray, batch_y: np.ndarray):
+                   batch_x: np.ndarray, batch_y: np.ndarray, work=None):
     """Exact loss gradients over a batch by reverse accumulation.
 
     Unrolls the recurrence with the time-major kernel that ``batch_forward``
     also runs and checks finiteness once per batch, after the loop: a
     DivergenceError names the first step with a non-finite activation. Then
-    walks the steps backwards: the hidden-state sensitivity at step t
-    collects the readout error at t, the leak path (1 - alpha) from t+1, and
-    the recurrent path through tanh'. Every state is read in place from the
-    kernel's buffer, h_{t-1} included. Returns (grads, batch_loss) where
+    walks the steps backwards. Row j of a [t_steps + 1, batch, n_out + n]
+    buffer holds [err_{j-1} | d_j], the readout error of state h_j and
+    d_j = dL/da_j, so each step is one GEMM, [err_t | d_{t+1}] @ [W_out; W_rec],
+    plus the leak path (1 - alpha) from t+1 and the gain alpha * tanh'(a_t).
+    At alpha < 1, tanh(a_t) waits in d_t's slot until d_t overwrites it. One
+    more GEMM, d^T @ [h | x | 1], gives the gradients of W_rec, W_in and
+    b_rec together. ``work`` (from ``bptt_workspace``) supplies the buffers;
+    without it they are allocated per call. Returns (grads, batch_loss) where
     grads mirrors RnnParams.
     """
     batch_x = np.asarray(batch_x, dtype=float)
@@ -131,18 +149,25 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     batch, t_steps, _ = batch_x.shape
     if t_steps == 0:
         raise ValueError("cannot take gradients over an empty sequence")
-    n = config.n_units
+    n, n_out = config.n_units, config.n_out
     alpha = config.alpha
+    if work is None:
+        work = bptt_workspace(config, t_steps, batch)
+    hx = _time_major(t_steps, batch, n + config.n_in + 1, work[0])
+    eg = _time_major(t_steps, batch, n_out + n, work[1])
+    sens = eg[:t_steps, :, n_out:]   # d_t, and tanh(a_t) before it at alpha < 1
 
-    # forward pass: hs_full[t + 1] = h_t after step t, ss[t] = tanh(a_t)
-    hs_full, ss = _recurrence(params, config, batch_x)
+    _recurrence(params, config, batch_x, hx, None if alpha == 1.0 else sens)
+    ss = hx[1:, :, :n] if alpha == 1.0 else sens
 
     # rows are (t, batch) pairs in time-major order
-    hs = hs_full[1:].reshape(-1, n)
-    err = hs @ params.w_out.T
+    hs = hx[1:, :, :n].reshape(-1, n)
+    err3 = eg[1:, :, :n_out]
+    err = err3.reshape(-1, n_out)
+    np.matmul(hs, params.w_out.T, out=err)
     err += params.b_out
-    err -= batch_y.transpose(1, 0, 2).reshape(-1, config.n_out)
-    batch_loss = float(np.mean(err ** 2))
+    err3 -= batch_y.transpose(1, 0, 2)
+    batch_loss = float(np.einsum("ij,ij->", err, err)) / err.size
     # tanh is bounded, so a non-finite activation always makes the loss
     # non-finite; only then are the steps scanned for the first bad one
     if not np.isfinite(batch_loss):
@@ -153,32 +178,28 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     err *= 2.0 / err.size
     g_w_out = err.T @ hs
 
-    # ds starts as the readout error of each state and becomes, walking
-    # backwards, d_t = alpha * (1 - s_t^2) * dL/dh_t
-    gain = np.square(ss)
-    np.subtract(1.0, gain, out=gain)
+    w_back = np.concatenate([params.w_out, params.w_rec])
+    dh = np.empty((batch, n))
+    gain = np.empty((batch, n))
     if alpha != 1.0:
-        gain *= alpha
-    ds = (err @ params.w_out).reshape(t_steps, batch, n)
-    carry = np.zeros((batch, n))
-    leak = np.empty((batch, n))
+        leak = np.zeros((batch, n))
+    eg[t_steps, :, n_out:] = 0.0
     for t in range(t_steps - 1, -1, -1):
-        g = ds[t]
-        g += carry
+        np.matmul(eg[t + 1], w_back, out=dh)   # dL/dh_{t+1} minus the leak
+        np.square(ss[t], out=gain)
+        np.subtract(1.0, gain, out=gain)
         if alpha != 1.0:
-            np.multiply(g, 1.0 - alpha, out=leak)
-        g *= gain[t]
-        np.matmul(g, params.w_rec, out=carry)
-        if alpha != 1.0:
-            carry += leak
+            dh += leak
+            np.multiply(dh, 1.0 - alpha, out=leak)
+            gain *= alpha
+        np.multiply(dh, gain, out=sens[t])
 
-    d2 = ds.reshape(-1, n)
-    g_w_rec = d2.T @ hs_full[:-1].reshape(-1, n)
-    g_w_in = d2.T @ batch_x.transpose(1, 0, 2).reshape(-1, config.n_in)
+    g = sens.reshape(-1, n).T @ hx[:-1].reshape(-1, hx.shape[2])
+    g_w_rec, g_w_in = g[:, :n].copy(), g[:, n:-1].copy()
     if config.use_bias:
-        g_b_rec, g_b_out = d2.sum(axis=0), err.sum(axis=0)
+        g_b_rec, g_b_out = g[:, -1].copy(), err.sum(axis=0)
     else:
-        g_b_rec, g_b_out = np.zeros(n), np.zeros(config.n_out)
+        g_b_rec, g_b_out = np.zeros(n), np.zeros(n_out)
     return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
 
 
@@ -209,6 +230,8 @@ def adam_update(state: AdamState, params: RnnParams, grads: RnnParams,
 
 
 def clip_gradients(grads: RnnParams, max_norm: float) -> RnnParams:
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be > 0, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.as_dict().values()))
     if total <= max_norm or total == 0.0:
         return grads
@@ -237,6 +260,9 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     total_updates = train_cfg.epochs * -(-n_train // train_cfg.batch_size)
 
     rng = SeededRng(train_cfg.seed)
+    # one set of BPTT buffers for the run; a short last batch uses a prefix
+    work = bptt_workspace(model_cfg, dataset.x.shape[1],
+                          min(train_cfg.batch_size, n_train))
     state = init_adam_state(params)
     params = params.copy()
     last_good = params.copy()
@@ -253,7 +279,7 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
             idx = order[lo:lo + train_cfg.batch_size]
             try:
                 grads, batch_loss = bptt_gradients(
-                    params, model_cfg, dataset.x[idx], dataset.y[idx])
+                    params, model_cfg, dataset.x[idx], dataset.y[idx], work=work)
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), params=last_good, epoch=epoch) from None
             if not np.isfinite(batch_loss):
@@ -272,6 +298,7 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
             epoch_hook(epoch, params, epoch_loss)
 
     wall = time.perf_counter() - start
+    del work   # free the buffers before the held-out forward pass allocates its own
     if n_eval > 0:
         eval_set = Dataset(dataset.x[n_train:], dataset.y[n_train:],
                            dataset.config, dataset.events[n_train:])

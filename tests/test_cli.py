@@ -123,6 +123,13 @@ class TestTrain:
         assert len(rows) == 4
         assert max(losses) - min(losses) < 1e-12
 
+    def test_zero_clip_disables_clipping(self, tmp_path, small_data):
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "--data", small_data, "--units", 4, "--epochs", 1,
+                       "--clip", 0, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["training"]["grad_clip_norm"] is None
+
     def test_missing_dataset_exits_2(self, tmp_path):
         code = run_cli("train", "--data", tmp_path / "nope", "--units", 8,
                        "--out", tmp_path / "out")
@@ -246,6 +253,15 @@ def config_holding_a_list(tmp_path, _data):
                                          "--eval-fraction", -0.5,
                                          "--out", tmp_path / "t"],
                  "eval_fraction", id="negative-eval-fraction"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--clip", -1, "--out", tmp_path / "t"],
+                 "grad_clip_norm", id="negative-clip"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--clip", "nan", "--out", tmp_path / "t"],
+                 "grad_clip_norm", id="nan-clip"),
+    pytest.param(lambda tmp_path, _data: ["eval", "--checkpoint", tmp_path,
+                                          "--probe", tmp_path],
+                 "--probe", id="probe-flag-removed"),
     pytest.param(manifest_with_unknown_model_key, "n_layers", id="unknown-model-key"),
     pytest.param(manifest_without_n_units, "n_units", id="missing-model-key"),
     pytest.param(dataset_with_unknown_task_key, "n_channels",

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, batch_forward, init_params
@@ -15,6 +17,7 @@ from ffrnn.training import (
     _clean_hold_mask,
     adam_update,
     bptt_gradients,
+    bptt_workspace,
     clip_gradients,
     evaluate,
     init_adam_state,
@@ -157,8 +160,9 @@ class TestBpttGradients:
             bptt_gradients(params, cfg, x, np.zeros((2, 6, 3)))
 
     def test_peak_memory_bounded(self):
-        # at alpha = 1 one call holds the states, tanh'(a) and the
-        # sensitivities: three [batch, t, n] arrays and a few small ones
+        # without a workspace a call allocates its two time-major buffers,
+        # [h | x | 1] and [err | d]: at 64 units about 2.1 [batch, t, n]
+        # arrays, and a few small ones
         cfg = ModelConfig(n_units=64)
         params = init_params(cfg, SeededRng(43))
         rng = SeededRng(44)
@@ -172,7 +176,66 @@ class TestBpttGradients:
         finally:
             tracemalloc.stop()
         trajectory = 32 * 200 * 64 * 8
-        assert peak <= 3.5 * trajectory, f"peak {peak / trajectory:.2f} trajectories"
+        assert peak <= 2.5 * trajectory, f"peak {peak / trajectory:.2f} trajectories"
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_workspace_peak_memory(self, dt):
+        # with a workspace a call allocates only [batch, n]-sized scratch and
+        # the gradients, at dt = tau and at dt < tau alike
+        cfg = ModelConfig(n_units=64, dt=dt)
+        params = init_params(cfg, SeededRng(45))
+        rng = SeededRng(46)
+        x = rng.gen.normal(size=(32, 200, 3))
+        y = rng.gen.uniform(-1, 1, (32, 200, 3))
+        work = bptt_workspace(cfg, 200, 32)
+        bptt_gradients(params, cfg, x, y, work=work)
+        tracemalloc.start()
+        try:
+            bptt_gradients(params, cfg, x, y, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = 201 * 32 * 64 * 8
+        assert peak <= 0.1 * states, f"peak {peak / states:.3f} state arrays"
+
+    def test_workspace_too_small_rejected(self):
+        cfg = ModelConfig(n_units=4)
+        params = init_params(cfg, SeededRng(47))
+        x = np.zeros((3, 5, 3))
+        with pytest.raises(ValueError, match="workspace"):
+            bptt_gradients(params, cfg, x, x, work=bptt_workspace(cfg, 5, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), t_steps=st.integers(1, 12), batch=st.integers(1, 5),
+       spare=st.integers(0, 3), dt=st.sampled_from([1.0, 0.5]),
+       use_bias=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_workspace_matches_fresh_buffers(n, t_steps, batch, spare, dt, use_bias,
+                                         seed):
+    cfg = ModelConfig(n_units=n, dt=dt, use_bias=use_bias)
+    rng = SeededRng(seed)
+    params = init_params(cfg, rng)
+    params.b_rec = rng.gen.normal(0, 0.1, n)
+    params.b_out = rng.gen.normal(0, 0.1, 3)
+    x = rng.gen.normal(size=(batch, t_steps, 3))
+    y = rng.gen.uniform(-1, 1, (batch, t_steps, 3))
+    # sized for a larger batch and filled with NaN: a call reads nothing it
+    # did not write, and uses a prefix laid out as fresh buffers are
+    work = bptt_workspace(cfg, t_steps, batch + spare)
+    for buf in work:
+        buf.fill(np.nan)
+    expected, expected_loss = bptt_gradients(params, cfg, x, y)
+    for _ in range(2):
+        grads, batch_loss = bptt_gradients(params, cfg, x, y, work=work)
+        assert batch_loss == expected_loss
+        for key, g in grads.as_dict().items():
+            npt.assert_array_equal(g, expected.as_dict()[key], err_msg=key)
+    # batch_forward returns views of a buffer of its own, never a shared one
+    h, z = batch_forward(params, cfg, x)
+    h_before, z_before = h.copy(), z.copy()
+    batch_forward(params, cfg, y)
+    npt.assert_array_equal(h, h_before)
+    npt.assert_array_equal(z, z_before)
 
 
 class TestAdamUpdate:
@@ -236,6 +299,9 @@ class TestAdamUpdate:
         npt.assert_allclose(total, 1.0, rtol=1e-12)
         small = clip_gradients(grads, 1e9)
         npt.assert_array_equal(small.w_rec, grads.w_rec)
+        # a negative norm would turn every gradient around
+        with pytest.raises(ValueError):
+            clip_gradients(grads, -0.5)
 
 
 def tiny_dataset(samples=12, seed=31):
@@ -312,6 +378,28 @@ class TestTrain:
                                           cfg.learning_rate_at(k, 6))
         for k, v in expected.as_dict().items():
             npt.assert_array_equal(trained.as_dict()[k], v)
+
+    def test_short_last_batch_matches_hand_loop(self):
+        # 10 samples in batches of 4: the last batch of each epoch has 2
+        ds = tiny_dataset(samples=10)
+        mcfg = ModelConfig(n_units=5, dt=0.5)
+        params = init_params(mcfg, SeededRng(36))
+        cfg = TrainConfig(epochs=2, batch_size=4, shuffle=False, seed=37)
+        trained, report = train(params, mcfg, ds, cfg, eval_fraction=0.0)
+
+        expected, state = params.copy(), init_adam_state(params)
+        losses = []
+        for k in range(6):
+            lo = 4 * (k % 3)
+            grads, batch_loss = bptt_gradients(expected, mcfg, ds.x[lo:lo + 4],
+                                               ds.y[lo:lo + 4])
+            losses.append(batch_loss * len(ds.x[lo:lo + 4]))
+            grads = clip_gradients(grads, cfg.grad_clip_norm)
+            expected, state = adam_update(state, expected, grads, cfg,
+                                          cfg.learning_rate_at(k, 6))
+        for k, v in expected.as_dict().items():
+            npt.assert_array_equal(trained.as_dict()[k], v)
+        assert report.loss_per_epoch == [sum(losses[:3]) / 10, sum(losses[3:]) / 10]
 
     def test_loss_decreases_on_small_run(self):
         cfg = TaskConfig(t_steps=80, delay_steps=5, pulse_width=4,
@@ -421,3 +509,10 @@ class TestTrainConfig:
             TrainConfig(learning_rate=-1e-3)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for clip in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="grad_clip_norm"):
+                TrainConfig(grad_clip_norm=clip)
+        for eps in (0.0, -1e-8):
+            with pytest.raises(ValueError, match="eps_hat"):
+                TrainConfig(eps_hat=eps)
+        assert TrainConfig(grad_clip_norm=None).grad_clip_norm is None

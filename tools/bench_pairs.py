@@ -1,0 +1,99 @@
+"""Paired runs of the benchmark on two checkouts, summarised as BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent OLD --change NEW --workload train-64x4 \
+        --pairs 10 --seconds 20 --out BENCH_6.json
+
+OLD and NEW are roots of two checkouts, each with its own ``src/`` and
+``perfbench/``. Each pair runs ``perfbench/run.py`` once in each checkout,
+one after the other; the checkout that runs first alternates from pair to
+pair, so a slow drift of the machine weighs on both alike. ``run.py`` pins
+BLAS to one thread. For every end-to-end metric of ``BENCHMARK.json`` the
+output holds the median and quartiles of each side, the median change, and
+the number of pairs the new code won. Workloads already in ``--out`` are
+kept, so the workloads can be run one at a time into the same file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: dict, metrics: list) -> dict:
+    """Per metric: both sides' spread, the median change, pairs won by the
+    change, and whether that change is larger than the parent's IQR."""
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        old = [r["metrics"][name]["value"] for r in runs["parent"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"]]
+        a, b = spread(old), spread(new)
+        wins = sum((n > o) if higher else (n < o) for o, n in zip(old, new))
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent": a, "change": b,
+            "median_change": b["median"] / a["median"] - 1.0 if a["median"] else None,
+            "change_wins": wins,
+            "exceeds_parent_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            runs[side].append(result)
+            print(f"pair {pair} {side}: " + ", ".join(
+                f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
+                file=sys.stderr)
+
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report.setdefault("workloads", {})[args.workload] = {
+        "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "first_in_pair": "parent on even pairs, change on odd pairs",
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "metrics": summarise(runs, bench["end_to_end"]),
+        "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
+                 for side, rs in runs.items()},
+    }
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
