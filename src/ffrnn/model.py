@@ -10,9 +10,12 @@ random orthogonal matrix; input/output weights are Gaussian with the Glorot
 variance 2/(fan_in + fan_out), the variance of the default kernel
 initializer of Keras' SimpleRNN and Dense layers.
 
-The recurrence runs time-major in one [t_steps + 1, batch, n + n_in + 1]
-buffer whose row t holds [h_t | x_t | 1], so each step is a single GEMM
-with [W_rec | W_in | b_rec] followed by tanh (``_recurrence``).
+The recurrence runs time-major in one
+[t_steps + 2, batch, n_out + n + n_in + 1] buffer whose row t holds
+[z(h_{t-1}) | h_t | x_t | 1], so each step is a single GEMM with the step
+matrix [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]], which gives the
+readout of h_t and the pre-activation a_t together, followed by tanh
+(``_recurrence``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ class ModelConfig:
     n_out: int = 3
     tau: float = 1.0
     dt: float = 1.0
-    activation: str = "tanh"
     use_bias: bool = False
 
     def __post_init__(self):
@@ -45,8 +47,6 @@ class ModelConfig:
             raise ValueError("tau and dt must be > 0")
         if self.dt > self.tau:
             raise ValueError("dt must be <= tau for a stable Euler step")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def alpha(self) -> float:
@@ -99,51 +99,61 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
-def _time_major(t_steps: int, batch: int, width: int, flat=None):
-    """A [t_steps + 1, batch, width] float64 buffer: a fresh array, or a
-    contiguous prefix of the 1-D array ``flat``, so its strides are the
-    same either way."""
-    shape = (t_steps + 1, batch, width)
+def _time_major(rows: int, batch: int, width: int, flat=None):
+    """A [rows, batch, width] float64 buffer: a fresh array, or a contiguous
+    prefix of the 1-D array ``flat``, so its strides are the same either
+    way."""
+    shape = (rows, batch, width)
     if flat is None:
         return np.empty(shape)
-    size = shape[0] * shape[1] * shape[2]
+    size = rows * batch * width
     if flat.size < size:
         raise ValueError(f"workspace holds {flat.size} values, {size} needed")
     return flat[:size].reshape(shape)
 
 
 def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
-                hx: np.ndarray, ss: np.ndarray | None = None) -> None:
+                u: np.ndarray, ss: np.ndarray | None = None) -> None:
     """The recurrence over a [batch, t_steps, n_in] tensor, time-major, from
-    the zero state, written into the [t_steps + 1, batch, n_units + n_in + 1]
-    buffer ``hx``.
+    the zero state, written into the
+    [t_steps + 2, batch, n_out + n_units + n_in + 1] buffer ``u``.
 
-    Row t of hx holds [h_t | x_t | 1]: h_0 = 0, h_{t+1} is the state after
-    step t, and row t_steps holds h only. Each step is one GEMM,
-    [h_t | x_t | 1] @ [W_rec | W_in | b_rec]^T, then tanh. At alpha = 1 the
-    state is tanh(a_t) itself; at alpha < 1, tanh(a_t) goes to ss[t] when ss
-    (a [t_steps, batch, n_units] view) is given. Values are not checked for
-    finiteness here.
+    Row t of u holds [z(h_{t-1}) | h_t | x_t | 1]: h_0 = 0, h_{t+1} is the
+    state after step t, and z(h) = W_out h + b_out. Step t is one GEMM,
+    [h_t | x_t | 1] @ [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]],
+    into [z(h_t) | a_t] of row t + 1, then tanh in place. One more step at
+    t = t_steps, over x = 0, reads out h_t_steps into the last row, so the
+    readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
+    readout slot and the last row's other slots hold no values. At alpha = 1
+    the state is tanh(a_t) itself; at alpha < 1, tanh(a_t) goes to ss[t]
+    when ss (a [t_steps, batch, n_units] view) is given. Values are not
+    checked for finiteness here.
     """
     batch, t_steps, _ = x.shape
-    n = config.n_units
+    n, n_in, n_out = config.n_units, config.n_in, config.n_out
     alpha = config.alpha
-    hx[0, :, :n] = 0.0
-    hx[:t_steps, :, n:-1] = x.transpose(1, 0, 2)
-    hx[:t_steps, :, -1] = 1.0
-    w = np.concatenate([params.w_rec, params.w_in, params.b_rec[:, None]], axis=1).T
-    a = np.empty((batch, n))
+    u[0, :, n_out:n_out + n] = 0.0
+    u[:t_steps, :, n_out + n:-1] = x.transpose(1, 0, 2)
+    u[t_steps, :, n_out + n:-1] = 0.0
+    u[:t_steps + 1, :, -1] = 1.0
+    w = np.block([[params.w_out.T, params.w_rec.T],
+                  [np.zeros((n_in, n_out)), params.w_in.T],
+                  [params.b_out, params.b_rec]])
+    if alpha != 1.0:
+        scratch = np.empty((batch, n))
     for t in range(t_steps):
-        np.matmul(hx[t], w, out=a)
-        h = hx[t + 1, :, :n]
+        out = u[t + 1, :, :n_out + n]
+        np.matmul(u[t, :, n_out:], w, out=out)
+        h = out[:, n_out:]
         if alpha == 1.0:
-            np.tanh(a, out=h)
+            np.tanh(h, out=h)
         else:
-            s = a if ss is None else ss[t]
-            np.tanh(a, out=s)
-            np.multiply(hx[t, :, :n], 1.0 - alpha, out=h)
-            np.multiply(s, alpha, out=a)
-            h += a
+            s = scratch if ss is None else ss[t]
+            np.tanh(h, out=s)
+            np.multiply(u[t, :, n_out:n_out + n], 1.0 - alpha, out=h)
+            np.multiply(s, alpha, out=scratch)
+            h += scratch
+    np.matmul(u[t_steps, :, n_out:], w[:, :n_out], out=u[t_steps + 1, :, :n_out])
 
 
 def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
@@ -151,10 +161,11 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
 
     Returns (h, z) with shapes [batch, t_steps, n_units] and
     [batch, t_steps, n_out]. Batch elements are independent. The recurrence
-    runs time-major in a fresh buffer, so h and z are transposed views of
-    time-major buffers, not contiguous arrays. Non-finite values are
-    returned as they are; ``training.bptt_gradients`` checks finiteness once
-    per batch.
+    runs time-major in a fresh [z | h | x | 1] buffer (``_recurrence``),
+    which also computes the readouts. h is a transposed view of that buffer;
+    z is copied out into an array of its own, so a caller that keeps only z
+    does not keep the whole buffer alive. Non-finite values are returned as
+    they are; ``training.bptt_gradients`` checks finiteness once per batch.
     """
     _check_shapes(params, config)
     x = np.asarray(x, dtype=float)
@@ -162,14 +173,12 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
         raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
 
     batch, t_steps, _ = x.shape
-    n = config.n_units
-    hx = _time_major(t_steps, batch, n + config.n_in + 1)
-    _recurrence(params, config, x, hx)
-    hs = hx[1:, :, :n]
-    z = hs.reshape(-1, n) @ params.w_out.T
-    z += params.b_out
-    z = z.reshape(t_steps, batch, config.n_out)
-    return hs.transpose(1, 0, 2), z.transpose(1, 0, 2)
+    n, n_out = config.n_units, config.n_out
+    u = _time_major(t_steps + 2, batch, n_out + n + config.n_in + 1)
+    _recurrence(params, config, x, u)
+    h = u[1:t_steps + 1, :, n_out:n_out + n].transpose(1, 0, 2)
+    z = u[2:, :, :n_out].transpose(1, 0, 2).copy()
+    return h, z
 
 
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
@@ -195,7 +204,14 @@ def load_checkpoint(in_dir):
         manifest = json.load(fh)
     if "model" not in manifest:
         raise ValueError(f"{manifest_path}: missing 'model' section")
-    config = config_from(ModelConfig, manifest["model"], manifest_path)
+    model = manifest["model"]
+    if isinstance(model, dict) and "activation" in model:
+        # written before ModelConfig lost its field that allowed only tanh
+        model = dict(model)
+        activation = model.pop("activation")
+        if activation != "tanh":
+            raise ValueError(f"{manifest_path}: unsupported activation {activation!r}")
+    config = config_from(ModelConfig, model, manifest_path)
     w_in = read_tensor(os.path.join(in_dir, "w_in.rnt"))
     w_rec = read_tensor(os.path.join(in_dir, "w_rec.rnt"))
     w_out = read_tensor(os.path.join(in_dir, "w_out.rnt"))

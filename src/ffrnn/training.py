@@ -118,9 +118,9 @@ def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
     trials of ``t_steps`` steps: two flat float64 arrays, of which each call
     uses a contiguous prefix."""
-    rows = (t_steps + 1) * batch
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
-    return np.empty(rows * (n + n_in + 1)), np.empty(rows * (n_out + n))
+    return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
+            np.empty((t_steps + 1) * batch * (n_out + n)))
 
 
 def bptt_gradients(params: RnnParams, config: ModelConfig,
@@ -128,17 +128,21 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     """Exact loss gradients over a batch by reverse accumulation.
 
     Unrolls the recurrence with the time-major kernel that ``batch_forward``
-    also runs and checks finiteness once per batch, after the loop: a
-    DivergenceError names the first step with a non-finite activation. Then
-    walks the steps backwards. Row j of a [t_steps + 1, batch, n_out + n]
-    buffer holds [err_{j-1} | d_j], the readout error of state h_j and
-    d_j = dL/da_j, so each step is one GEMM, [err_t | d_{t+1}] @ [W_out; W_rec],
-    plus the leak path (1 - alpha) from t+1 and the gain alpha * tanh'(a_t).
-    At alpha < 1, tanh(a_t) waits in d_t's slot until d_t overwrites it. One
-    more GEMM, d^T @ [h | x | 1], gives the gradients of W_rec, W_in and
-    b_rec together. ``work`` (from ``bptt_workspace``) supplies the buffers;
-    without it they are allocated per call. Returns (grads, batch_loss) where
-    grads mirrors RnnParams.
+    also runs, whose row t holds [z(h_{t-1}) | h_t | x_t | 1], and checks
+    finiteness once per batch, after the loop: a DivergenceError names the
+    first step with a non-finite activation. Then walks the steps backwards.
+    Row j of a [t_steps + 1, batch, n_out + n] buffer holds [err_j | d_j],
+    the readout error z(h_j) - y_{j-1} of state h_j (zero for h_0) and
+    d_j = dL/da_j (zero for j = t_steps), so each step is one GEMM,
+    [err_{t+1} | d_{t+1}] @ [scale * W_out; W_rec] with scale = 2 / size
+    the factor of the mean, plus the leak path (1 - alpha) from t+1 and the
+    gain alpha * tanh'(a_t). At alpha < 1, tanh(a_t) waits in d_t's slot
+    until d_t overwrites it. One more GEMM, [err | d]^T @ [h | x | 1], gives
+    all five gradients together: its top n_out rows, times scale, those of
+    W_out and b_out, and its other rows those of W_rec, W_in and b_rec.
+    ``work`` (from ``bptt_workspace``) supplies the buffers; without it they
+    are allocated per call. Returns (grads, batch_loss) where grads mirrors
+    RnnParams.
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -147,27 +151,26 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     if batch_x.shape[:2] != batch_y.shape[:2]:
         raise ValueError(f"batch shapes differ: {batch_x.shape} vs {batch_y.shape}")
     batch, t_steps, _ = batch_x.shape
+    if batch == 0:
+        raise ValueError("cannot take gradients over an empty batch")
     if t_steps == 0:
         raise ValueError("cannot take gradients over an empty sequence")
-    n, n_out = config.n_units, config.n_out
+    n, n_in, n_out = config.n_units, config.n_in, config.n_out
     alpha = config.alpha
     if work is None:
         work = bptt_workspace(config, t_steps, batch)
-    hx = _time_major(t_steps, batch, n + config.n_in + 1, work[0])
-    eg = _time_major(t_steps, batch, n_out + n, work[1])
+    u = _time_major(t_steps + 2, batch, n_out + n + n_in + 1, work[0])
+    eg = _time_major(t_steps + 1, batch, n_out + n, work[1])
     sens = eg[:t_steps, :, n_out:]   # d_t, and tanh(a_t) before it at alpha < 1
 
-    _recurrence(params, config, batch_x, hx, None if alpha == 1.0 else sens)
-    ss = hx[1:, :, :n] if alpha == 1.0 else sens
+    _recurrence(params, config, batch_x, u, None if alpha == 1.0 else sens)
+    ss = u[1:t_steps + 1, :, n_out:n_out + n] if alpha == 1.0 else sens
 
-    # rows are (t, batch) pairs in time-major order
-    hs = hx[1:, :, :n].reshape(-1, n)
-    err3 = eg[1:, :, :n_out]
-    err = err3.reshape(-1, n_out)
-    np.matmul(hs, params.w_out.T, out=err)
-    err += params.b_out
-    err3 -= batch_y.transpose(1, 0, 2)
-    batch_loss = float(np.einsum("ij,ij->", err, err)) / err.size
+    eg[0, :, :n_out] = 0.0
+    err = eg[1:, :, :n_out]
+    np.subtract(u[2:, :, :n_out], batch_y.transpose(1, 0, 2), out=err)
+    scale = 2.0 / err.size
+    batch_loss = float(np.einsum("ijk,ijk->", err, err)) / err.size
     # tanh is bounded, so a non-finite activation always makes the loss
     # non-finite; only then are the steps scanned for the first bad one
     if not np.isfinite(batch_loss):
@@ -175,10 +178,8 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
         if not finite.all():
             raise DivergenceError(
                 f"non-finite activations at step {int(np.argmin(finite))}")
-    err *= 2.0 / err.size
-    g_w_out = err.T @ hs
 
-    w_back = np.concatenate([params.w_out, params.w_rec])
+    w_back = np.concatenate([scale * params.w_out, params.w_rec])
     dh = np.empty((batch, n))
     gain = np.empty((batch, n))
     if alpha != 1.0:
@@ -194,10 +195,12 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
             gain *= alpha
         np.multiply(dh, gain, out=sens[t])
 
-    g = sens.reshape(-1, n).T @ hx[:-1].reshape(-1, hx.shape[2])
-    g_w_rec, g_w_in = g[:, :n].copy(), g[:, n:-1].copy()
+    rows = (t_steps + 1) * batch
+    g = eg.reshape(rows, -1).T @ u[:t_steps + 1, :, n_out:].reshape(rows, -1)
+    g_w_out = g[:n_out, :n] * scale
+    g_w_rec, g_w_in = g[n_out:, :n].copy(), g[n_out:, n:-1].copy()
     if config.use_bias:
-        g_b_rec, g_b_out = g[:, -1].copy(), err.sum(axis=0)
+        g_b_rec, g_b_out = g[n_out:, -1].copy(), g[:n_out, -1] * scale
     else:
         g_b_rec, g_b_out = np.zeros(n), np.zeros(n_out)
     return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
@@ -382,6 +385,10 @@ def run_gradcheck(n_units: int = 8, t_steps: int = 10, trials: int = 20,
     every parameter coordinate. Relative error uses max(|a|, |n|, 1e-6) as
     denominator to keep near-zero coordinates meaningful.
     """
+    for name, value in (("n_units", n_units), ("t_steps", t_steps),
+                        ("trials", trials), ("batch", batch)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     root = SeededRng(seed)
     errors = []
     for trial in range(trials):

@@ -210,6 +210,15 @@ def manifest_with_unknown_model_key(tmp_path, _data):
     return ["eval", "--checkpoint", ckpt]
 
 
+def manifest_with_relu_activation(tmp_path, data):
+    args = manifest_with_unknown_model_key(tmp_path, data)
+    manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
+    del manifest["model"]["n_layers"]
+    manifest["model"]["activation"] = "relu"
+    (tmp_path / "odd" / "manifest.json").write_text(json.dumps(manifest))
+    return args
+
+
 def manifest_without_n_units(tmp_path, data):
     args = manifest_with_unknown_model_key(tmp_path, data)
     manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
@@ -262,6 +271,11 @@ def config_holding_a_list(tmp_path, _data):
     pytest.param(lambda tmp_path, _data: ["eval", "--checkpoint", tmp_path,
                                           "--probe", tmp_path],
                  "--probe", id="probe-flag-removed"),
+    pytest.param(lambda tmp_path, _data: ["gradcheck", "--batch", 0],
+                 "batch", id="gradcheck-empty-batch"),
+    pytest.param(lambda tmp_path, _data: ["gradcheck", "--trials", 0],
+                 "trials", id="gradcheck-no-trials"),
+    pytest.param(manifest_with_relu_activation, "relu", id="relu-activation"),
     pytest.param(manifest_with_unknown_model_key, "n_layers", id="unknown-model-key"),
     pytest.param(manifest_without_n_units, "n_units", id="missing-model-key"),
     pytest.param(dataset_with_unknown_task_key, "n_channels",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -180,6 +182,16 @@ class TestBatchForward:
         for b in range(1, 128):
             npt.assert_array_equal(z[b], z[0])
 
+    def test_z_owns_its_memory(self):
+        # h is a view of the forward buffer; z must not be, or keeping z
+        # alone would keep the whole buffer alive
+        params, cfg = small_params(seed=27)
+        h, z = batch_forward(params, cfg, SeededRng(28).gen.normal(size=(4, 9, 3)))
+        assert not np.shares_memory(h, z)
+        # h and z slots interleave in the buffer without overlapping, so
+        # check z against the whole buffer h views
+        assert h.base is not None and not np.shares_memory(h.base, z)
+
     def test_bad_shapes_rejected(self):
         params, cfg = small_params()
         with pytest.raises(ValueError):
@@ -215,5 +227,19 @@ class TestCheckpoint:
             ModelConfig(n_units=0)
         with pytest.raises(ValueError):
             ModelConfig(n_units=4, dt=2.0, tau=1.0)
-        with pytest.raises(ValueError):
-            ModelConfig(n_units=4, activation="relu")
+
+    def test_manifest_activation_key(self, tmp_path):
+        # manifests written while ModelConfig had an activation field carry
+        # "activation": "tanh"; it is dropped, and any other value rejected
+        params, cfg = small_params(seed=26)
+        save_checkpoint(tmp_path, params, cfg)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "activation" not in manifest["model"]
+        manifest["model"]["activation"] = "tanh"
+        path.write_text(json.dumps(manifest))
+        assert load_checkpoint(tmp_path)[1] == cfg
+        manifest["model"]["activation"] = "relu"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="relu"):
+            load_checkpoint(tmp_path)

@@ -14,6 +14,7 @@ from ffrnn.training import (
     AdamState,
     DivergenceError,
     TrainConfig,
+    _EVAL_CHUNK,
     _clean_hold_mask,
     adam_update,
     bptt_gradients,
@@ -25,7 +26,7 @@ from ffrnn.training import (
     run_gradcheck,
     train,
 )
-from oracles import bptt_oracle, clean_hold_oracle
+from oracles import bptt_oracle, clean_hold_oracle, step
 
 
 def naive_mean_squared(z, target):
@@ -161,7 +162,7 @@ class TestBpttGradients:
 
     def test_peak_memory_bounded(self):
         # without a workspace a call allocates its two time-major buffers,
-        # [h | x | 1] and [err | d]: at 64 units about 2.1 [batch, t, n]
+        # [z | h | x | 1] and [err | d]: at 64 units about 2.2 [batch, t, n]
         # arrays, and a few small ones
         cfg = ModelConfig(n_units=64)
         params = init_params(cfg, SeededRng(43))
@@ -198,6 +199,12 @@ class TestBpttGradients:
         states = 201 * 32 * 64 * 8
         assert peak <= 0.1 * states, f"peak {peak / states:.3f} state arrays"
 
+    def test_empty_batch_rejected(self):
+        cfg = ModelConfig(n_units=4)
+        params = init_params(cfg, SeededRng(48))
+        with pytest.raises(ValueError, match="empty batch"):
+            bptt_gradients(params, cfg, np.zeros((0, 5, 3)), np.zeros((0, 5, 3)))
+
     def test_workspace_too_small_rejected(self):
         cfg = ModelConfig(n_units=4)
         params = init_params(cfg, SeededRng(47))
@@ -230,12 +237,41 @@ def test_workspace_matches_fresh_buffers(n, t_steps, batch, spare, dt, use_bias,
         assert batch_loss == expected_loss
         for key, g in grads.as_dict().items():
             npt.assert_array_equal(g, expected.as_dict()[key], err_msg=key)
-    # batch_forward returns views of a buffer of its own, never a shared one
+    # batch_forward's h views a buffer of its own, never a shared one
     h, z = batch_forward(params, cfg, x)
     h_before, z_before = h.copy(), z.copy()
     batch_forward(params, cfg, y)
     npt.assert_array_equal(h, h_before)
     npt.assert_array_equal(z, z_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), t_steps=st.integers(1, 12), batch=st.integers(1, 5),
+       dt=st.sampled_from([1.0, 0.5]), use_bias=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, seed):
+    cfg = ModelConfig(n_units=n, dt=dt, use_bias=use_bias)
+    rng = SeededRng(seed)
+    params = init_params(cfg, rng)
+    params.b_rec = rng.gen.normal(0, 0.1, n)
+    params.b_out = rng.gen.normal(0, 0.1, 3)
+    x = rng.gen.normal(size=(batch, t_steps, 3))
+    y = rng.gen.uniform(-1, 1, (batch, t_steps, 3))
+    grads, batch_loss = bptt_gradients(params, cfg, x, y)
+    expected, expected_loss = bptt_oracle(params, cfg, x, y)
+    npt.assert_allclose(batch_loss, expected_loss, rtol=1e-12)
+    for key, g in grads.as_dict().items():
+        scale = max(np.max(np.abs(expected[key])), 1e-300)
+        assert np.max(np.abs(g - expected[key])) <= 1e-12 * scale, key
+    # the readout the forward GEMM computes, against step-by-step states
+    _, z = batch_forward(params, cfg, x)
+    for b in range(batch):
+        h = np.zeros(n)
+        zs = []
+        for t in range(t_steps):
+            h = step(params, cfg, h, x[b, t])
+            zs.append(params.w_out @ h + params.b_out)
+        assert np.max(np.abs(z[b] - zs)) <= 1e-12 * np.max(np.abs(zs))
 
 
 class TestAdamUpdate:
@@ -474,6 +510,26 @@ class TestEvaluate:
         quiet = generate_dataset(dataclasses.replace(cfg, noise_std=0.0), 60)
         npt.assert_array_equal(mask, _clean_hold_mask(quiet.events, quiet.y, cfg, 10))
         assert mask.mean() > 0.05
+
+    def test_peak_memory_one_chunk(self):
+        # evaluate keeps only z of a chunk, which owns its memory, so the
+        # previous chunk's forward buffer is freed before the next one is
+        # allocated; were z a view, two buffers would be alive at once
+        task = TaskConfig(t_steps=100)
+        mcfg = ModelConfig(n_units=64)
+        params = init_params(mcfg, SeededRng(37))
+        trials = 3 * _EVAL_CHUNK
+        x = SeededRng(38).gen.normal(size=(trials, 100, 3))
+        ds = Dataset(x, np.zeros_like(x), task, [[] for _ in range(trials)])
+        evaluate(params, mcfg, ds)
+        tracemalloc.start()
+        try:
+            evaluate(params, mcfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = (100 + 2) * _EVAL_CHUNK * (3 + 64 + 3 + 1) * 8
+        assert peak <= 1.2 * buffer, f"peak {peak / buffer:.2f} forward buffers"
 
     def test_chunked_matches_whole_dataset(self):
         cfg = TaskConfig(seed=35)
