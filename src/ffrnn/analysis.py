@@ -135,6 +135,8 @@ def memory_states(projection: ProjectionResult, probe: Trial,
     body diagonals. When fewer than 8 states appear the report only carries
     the missing-state list.
     """
+    if hold_margin < 0:
+        raise ValueError(f"hold_margin must be >= 0, got {hold_margin}")
     targets = probe.targets
     mask = _hold_mask(targets, projection.start_step, hold_margin)
 

@@ -77,13 +77,14 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.perf_counter()
+    if args.checkpoint_every < 0:
+        raise ValueError("--checkpoint-every must be >= 0")
     dataset = load_dataset(args.data)
     model_cfg = ModelConfig(n_units=args.units, n_in=dataset.config.n_bits,
                             n_out=dataset.config.n_bits, tau=args.tau,
                             dt=args.dt, use_bias=args.bias)
-    clip = args.clip if args.clip else None
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                            learning_rate=args.lr, grad_clip_norm=clip,
+                            learning_rate=args.lr, grad_clip_norm=args.clip or None,
                             seed=args.seed)
     params = init_params(model_cfg, SeededRng(args.seed))
     metadata = {
@@ -113,7 +114,7 @@ def cmd_train(args) -> int:
         if exc.params is not None:
             metadata["diverged_at_epoch"] = exc.epoch
             save_checkpoint(args.out, exc.params, model_cfg, metadata)
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"training diverged in epoch {exc.epoch}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
     metadata["loss_history"] = report.loss_per_epoch

@@ -219,8 +219,8 @@ def load_checkpoint(in_dir):
         b_rec = read_tensor(os.path.join(in_dir, "b_rec.rnt")).reshape(-1)
         b_out = read_tensor(os.path.join(in_dir, "b_out.rnt")).reshape(-1)
     else:
-        b_rec = np.zeros(config.n_units)
-        b_out = np.zeros(config.n_out)
+        b_rec = np.zeros(w_rec.shape[:1])   # sized as the tensors _check_shapes checks
+        b_out = np.zeros(w_out.shape[:1])
     params = RnnParams(w_in, w_rec, w_out, b_rec, b_out)
     _check_shapes(params, config)
     return params, config, manifest

@@ -11,11 +11,11 @@ IEEE-754 float32. Internal float64 values are rounded to float32 on write.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import struct
+import typing
 
 import numpy as np
 
@@ -63,18 +63,28 @@ def write_json(path, obj) -> None:
     write_file(path, dump_json(obj) + "\n")
 
 
+# JSON value types each field annotation accepts; a bool is no number here
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
 def config_from(cls, mapping, source):
     """``cls(**mapping)`` for a config dataclass read from a file.
 
-    A key that is not a field of ``cls`` raises a ValueError naming
-    ``source`` and the key; so does a missing field or a value of the wrong
-    type, for which the constructor raises a TypeError.
+    A key that is not a field of ``cls``, a value whose JSON type does not
+    fit its field's annotation, or a missing field (the constructor's
+    TypeError) raises a ValueError naming ``source`` and the key.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{source}: expected a table of {cls.__name__} fields")
-    unknown = set(mapping) - {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)   # the dataclass fields' types
+    unknown = set(mapping) - set(hints)
     if unknown:
         raise ValueError(f"{source}: unknown {cls.__name__} keys {sorted(unknown)}")
+    for key, value in mapping.items():
+        allowed = _JSON_TYPES.get(hints[key])
+        if allowed and type(value) not in allowed:
+            raise ValueError(f"{source}: {cls.__name__} key {key!r} must be "
+                             f"{hints[key].__name__}, got {value!r}")
     try:
         return cls(**mapping)
     except TypeError as exc:
@@ -82,7 +92,7 @@ def config_from(cls, mapping, source):
 
 
 def write_tensor(path, array) -> None:
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype=np.float64)   # tobytes writes row-major
     header = MAGIC + struct.pack(f"<{2 + arr.ndim}I", VERSION, arr.ndim, *arr.shape)
     write_file(path, header + arr.astype("<f4").tobytes())
 

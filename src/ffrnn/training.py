@@ -21,6 +21,10 @@ from .task import Dataset, Trial
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
 LR_FLOOR = 0.3
+# Adam's moment decay rates and denominator floor, as in the paper's Keras Adam
+BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
+# central-difference step and pass bound of run_gradcheck
+GRADCHECK_STEP, GRADCHECK_TOLERANCE = 1e-5, 1e-4
 
 
 class DivergenceError(RuntimeError):
@@ -56,16 +60,10 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
-    shuffle: bool = True
     grad_clip_norm: float | None = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         # learning_rate 0 is allowed: it makes training a documented no-op
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
@@ -76,8 +74,6 @@ class TrainConfig:
         # a negative clip norm would flip every gradient's sign
         if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
             raise ValueError("grad_clip_norm must be > 0, or None to disable")
-        if not self.eps_hat > 0:
-            raise ValueError("eps_hat must be > 0")
 
     def learning_rate_at(self, step: int, total_updates: int) -> float:
         """Learning rate of update ``step`` (0-based) out of ``total_updates``."""
@@ -128,9 +124,9 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     """Exact loss gradients over a batch by reverse accumulation.
 
     Unrolls the recurrence with the time-major kernel that ``batch_forward``
-    also runs, whose row t holds [z(h_{t-1}) | h_t | x_t | 1], and checks
-    finiteness once per batch, after the loop: a DivergenceError names the
-    first step with a non-finite activation. Then walks the steps backwards.
+    also runs, whose row t holds [z(h_{t-1}) | h_t | x_t | 1]. A non-finite
+    batch loss raises a DivergenceError naming the first step with a
+    non-finite activation, if any. Then walks the steps backwards.
     Row j of a [t_steps + 1, batch, n_out + n] buffer holds [err_j | d_j],
     the readout error z(h_j) - y_{j-1} of state h_j (zero for h_0) and
     d_j = dL/da_j (zero for j = t_steps), so each step is one GEMM,
@@ -151,10 +147,8 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     if batch_x.shape[:2] != batch_y.shape[:2]:
         raise ValueError(f"batch shapes differ: {batch_x.shape} vs {batch_y.shape}")
     batch, t_steps, _ = batch_x.shape
-    if batch == 0:
-        raise ValueError("cannot take gradients over an empty batch")
-    if t_steps == 0:
-        raise ValueError("cannot take gradients over an empty sequence")
+    if batch == 0 or t_steps == 0:
+        raise ValueError(f"no gradients over an empty batch or sequence: {batch_x.shape}")
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     alpha = config.alpha
     if work is None:
@@ -178,6 +172,7 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
         if not finite.all():
             raise DivergenceError(
                 f"non-finite activations at step {int(np.argmin(finite))}")
+        raise DivergenceError("non-finite loss")
 
     w_back = np.concatenate([scale * params.w_out, params.w_rec])
     dh = np.empty((batch, n))
@@ -211,24 +206,19 @@ def init_adam_state(params: RnnParams) -> AdamState:
     return AdamState(m=zeros, v={k: np.zeros_like(v) for k, v in params.as_dict().items()})
 
 
-def adam_update(state: AdamState, params: RnnParams, grads: RnnParams,
-                cfg: TrainConfig, learning_rate: float | None = None):
-    """One bias-corrected adaptive moment step; returns (params', state').
-
-    ``learning_rate`` overrides ``cfg.learning_rate`` for this step.
-    """
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
+def adam_update(state: AdamState, params: RnnParams, grads: RnnParams, lr: float):
+    """One bias-corrected Adam step at rate ``lr``; returns (params', state')."""
     t = state.t + 1
     new_m, new_v, new_p = {}, {}, {}
     gd = grads.as_dict()
     for key, theta in params.as_dict().items():
         g = gd[key]
-        m = cfg.beta1 * state.m[key] + (1 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[key] + (1 - cfg.beta2) * g ** 2
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
+        m = BETA1 * state.m[key] + (1 - BETA1) * g
+        v = BETA2 * state.v[key] + (1 - BETA2) * g ** 2
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
         new_m[key], new_v[key] = m, v
-        new_p[key] = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps_hat)
+        new_p[key] = theta - lr * m_hat / (np.sqrt(v_hat) + EPS_HAT)
     return RnnParams(**new_p), AdamState(new_m, new_v, t)
 
 
@@ -236,10 +226,9 @@ def clip_gradients(grads: RnnParams, max_norm: float) -> RnnParams:
     if not max_norm > 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.as_dict().values()))
-    if total <= max_norm or total == 0.0:
+    if total <= max_norm:   # max_norm > 0, so this covers a zero gradient
         return grads
-    scale = max_norm / total
-    return grads.map(lambda _, g: g * scale)
+    return grads.map(lambda _, g: g * (max_norm / total))
 
 
 def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
@@ -249,8 +238,9 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
 
     A trailing ``eval_fraction`` of the samples is held out of training and
     used for the report's final metrics. Update k of the run uses the
-    learning rate ``train_cfg.learning_rate_at(k, total_updates)``. Shuffling
-    uses a stream derived from (seed, epoch), so runs are bit-reproducible.
+    learning rate ``train_cfg.learning_rate_at(k, total_updates)``. Every
+    epoch is shuffled by a stream derived from (seed, epoch), so runs are
+    bit-reproducible.
     ``epoch_hook(epoch, params, epoch_loss)`` is invoked after every epoch
     when given.
     """
@@ -273,10 +263,7 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     start = time.perf_counter()
 
     for epoch in range(train_cfg.epochs):
-        if train_cfg.shuffle:
-            order = rng.derive(f"shuffle|{epoch}").gen.permutation(n_train)
-        else:
-            order = np.arange(n_train)
+        order = rng.derive(f"shuffle|{epoch}").gen.permutation(n_train)
         total, count = 0.0, 0
         for lo in range(0, n_train, train_cfg.batch_size):
             idx = order[lo:lo + train_cfg.batch_size]
@@ -285,13 +272,10 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
                     params, model_cfg, dataset.x[idx], dataset.y[idx], work=work)
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), params=last_good, epoch=epoch) from None
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}", params=last_good, epoch=epoch)
             if train_cfg.grad_clip_norm is not None:
                 grads = clip_gradients(grads, train_cfg.grad_clip_norm)
             lr = train_cfg.learning_rate_at(state.t, total_updates)
-            params, state = adam_update(state, params, grads, train_cfg, lr)
+            params, state = adam_update(state, params, grads, lr)
             total += batch_loss * len(idx)
             count += len(idx)
         epoch_loss = total / count
@@ -351,6 +335,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     cfg = data.config
     if cfg is None:
         raise ValueError("a task config is required to locate transition windows")
+    if transition_pad < 0:
+        raise ValueError(f"transition_pad must be >= 0, got {transition_pad}")
 
     squared, matched, considered = 0.0, 0, 0
     for lo in range(0, x.shape[0], _EVAL_CHUNK):
@@ -376,8 +362,7 @@ class GradcheckReport:
 
 
 def run_gradcheck(n_units: int = 8, t_steps: int = 10, trials: int = 20,
-                  batch: int = 2, seed: int = 0, fd_eps: float = 1e-5,
-                  tolerance: float = 1e-4, gradient_fn=bptt_gradients) -> GradcheckReport:
+                  batch: int = 2, seed: int = 0) -> GradcheckReport:
     """Compare analytic gradients against central finite differences.
 
     Each trial draws random parameters, inputs and targets (alternating
@@ -406,7 +391,7 @@ def run_gradcheck(n_units: int = 8, t_steps: int = 10, trials: int = 20,
         x = rng.gen.uniform(-1, 1, (batch, t_steps, 3))
         y = rng.gen.uniform(-1, 1, (batch, t_steps, 3))
 
-        grads, _ = gradient_fn(params, cfg, x, y)
+        grads, _ = bptt_gradients(params, cfg, x, y)
         gd = grads.as_dict()
 
         def loss_at(p):
@@ -419,15 +404,15 @@ def run_gradcheck(n_units: int = 8, t_steps: int = 10, trials: int = 20,
             g_flat = gd[key].reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
-                flat[j] = orig + fd_eps
+                flat[j] = orig + GRADCHECK_STEP
                 hi = loss_at(params)
-                flat[j] = orig - fd_eps
+                flat[j] = orig - GRADCHECK_STEP
                 lo = loss_at(params)
                 flat[j] = orig
-                numeric = (hi - lo) / (2 * fd_eps)
+                numeric = (hi - lo) / (2 * GRADCHECK_STEP)
                 denom = max(abs(g_flat[j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(g_flat[j] - numeric) / denom)
         errors.append(worst)
     max_err = max(errors)
-    return GradcheckReport(max_rel_err=max_err, tolerance=tolerance,
-                           trial_errors=errors, passed=max_err <= tolerance)
+    return GradcheckReport(max_rel_err=max_err, tolerance=GRADCHECK_TOLERANCE,
+                           trial_errors=errors, passed=max_err <= GRADCHECK_TOLERANCE)

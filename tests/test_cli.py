@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
@@ -160,7 +163,7 @@ class TestTrain:
         assert ((tmp_path / "final" / "cube_report.json").read_bytes()
                 == (tmp_path / "epoch" / "cube_report.json").read_bytes())
 
-    def test_divergent_data_exits_3(self, tmp_path):
+    def test_divergent_data_exits_3(self, tmp_path, capsys):
         cfg = TaskConfig(t_steps=60, delay_steps=5, pulse_width=4,
                          min_gap=8, max_gap=20, seed=5)
         ds = generate_dataset(cfg, 8)
@@ -171,6 +174,7 @@ class TestTrain:
         code = run_cli("train", "--data", data_dir, "--units", 8,
                        "--epochs", 1, "--batch", 4, "--out", out)
         assert code == 3
+        assert "training diverged in epoch 0: non-finite loss" in capsys.readouterr().err
         # last good parameters (the initialization) were still checkpointed
         params, _, manifest = load_checkpoint(out)
         assert manifest["diverged_at_epoch"] == 0
@@ -249,6 +253,42 @@ def manifest_with_unknown_task_key(tmp_path, _data):
     return ["cube", "--checkpoint", ckpt, "--out", tmp_path / "cube"]
 
 
+def manifest_with_float_n_units(tmp_path, data):
+    args = manifest_with_unknown_model_key(tmp_path, data)
+    manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
+    del manifest["model"]["n_layers"]
+    manifest["model"]["n_units"] = 4.0
+    (tmp_path / "odd" / "manifest.json").write_text(json.dumps(manifest))
+    return args
+
+
+def manifest_with_huge_n_units(tmp_path, data):
+    # the bias-free biases are sized from the tensors, never from the manifest
+    args = manifest_with_float_n_units(tmp_path, data)
+    manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
+    manifest["model"]["n_units"] = 10 ** 12
+    (tmp_path / "odd" / "manifest.json").write_text(json.dumps(manifest))
+    return args
+
+
+def dataset_with_fractional_delay(tmp_path, data):
+    args = dataset_with_unknown_task_key(tmp_path, data)
+    cfg = json.loads((data / "config.json").read_text())
+    cfg["delay_steps"] = 20.5
+    (tmp_path / "odd_data" / "config.json").write_text(json.dumps(cfg))
+    return args
+
+
+def checkpoint_args(tmp_path, data, *args):
+    """``args`` naming a fresh checkpoint whose manifest carries
+    ``data``'s task."""
+    ckpt = tmp_path / "ckpt"
+    cfg = ModelConfig(n_units=4)
+    task = json.loads((data / "config.json").read_text())
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg, {"task": task})
+    return [a if a != "CKPT" else ckpt for a in args]
+
+
 def config_holding_a_list(tmp_path, _data):
     (tmp_path / "list.json").write_text("[3, 64]")
     return ["--config", tmp_path / "list.json", "gen", "--out", tmp_path / "d"]
@@ -268,6 +308,27 @@ def config_holding_a_list(tmp_path, _data):
     pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
                                          "--clip", "nan", "--out", tmp_path / "t"],
                  "grad_clip_norm", id="nan-clip"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--checkpoint-every", -1,
+                                         "--out", tmp_path / "t"],
+                 "--checkpoint-every", id="negative-checkpoint-every"),
+    pytest.param(lambda tmp_path, data: checkpoint_args(
+        tmp_path, data, "eval", "--checkpoint", "CKPT", "--pad", -100),
+                 "transition_pad", id="negative-pad"),
+    pytest.param(lambda tmp_path, data: checkpoint_args(
+        tmp_path, data, "cube", "--checkpoint", "CKPT", "--margin", -5,
+        "--out", tmp_path / "cube"),
+                 "hold_margin", id="negative-cube-margin"),
+    pytest.param(lambda tmp_path, data: checkpoint_args(
+        tmp_path, data, "compare", "--checkpoints", "CKPT", "CKPT", "--margin", -1,
+        "--out", tmp_path / "cmp"),
+                 "hold_margin", id="negative-compare-margin"),
+    pytest.param(manifest_with_float_n_units, "'n_units' must be int",
+                 id="float-n-units-in-manifest"),
+    pytest.param(manifest_with_huge_n_units, "expected (1000000000000, 3)",
+                 id="huge-n-units-in-manifest"),
+    pytest.param(dataset_with_fractional_delay, "'delay_steps' must be int",
+                 id="fractional-delay-in-dataset"),
     pytest.param(lambda tmp_path, _data: ["eval", "--checkpoint", tmp_path,
                                           "--probe", tmp_path],
                  "--probe", id="probe-flag-removed"),
@@ -288,9 +349,33 @@ def test_bad_input_exits_2(tmp_path, small_data, make_args, message, capsys):
     assert message in capsys.readouterr().err
 
 
-def write_latch_checkpoint(out_dir, task_cfg):
-    import dataclasses
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    """A 4-unit checkpoint and its manifest's model section."""
+    ckpt = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    cfg = ModelConfig(n_units=4)
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg)
+    return ckpt, json.loads((ckpt / "manifest.json").read_text())["model"]
 
+
+MODEL_KEYS = st.sampled_from(sorted(dataclasses.asdict(ModelConfig(n_units=1))))
+# any JSON scalar or short list, and values next to the valid ones
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                        st.sampled_from([0, 1, 3, 4, 4.0, 0.5, 1.0, "4"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed=st.dictionaries(MODEL_KEYS, JSON_VALUES, max_size=3),
+       dropped=st.sets(MODEL_KEYS, max_size=2))
+def test_fuzzed_model_manifest_exits_0_or_2(small_ckpt, changed, dropped):
+    ckpt, model = small_ckpt
+    model = {k: v for k, v in model.items() if k not in dropped} | changed
+    (ckpt / "manifest.json").write_text(json.dumps({"model": model}))
+    assert run_cli("spectrum", "--checkpoint", ckpt, "--out", ckpt / "spec") in (0, 2)
+
+
+def write_latch_checkpoint(out_dir, task_cfg):
     eye = np.eye(3)
     params = RnnParams(w_in=1000.0 * eye, w_rec=1000.0 * eye, w_out=eye,
                         b_rec=np.zeros(3), b_out=np.zeros(3))
@@ -341,8 +426,6 @@ class TestEval:
 class TestAnalysisCommands:
     @pytest.fixture()
     def fresh_ckpt(self, tmp_path):
-        import dataclasses
-
         ckpt = tmp_path / "fresh"
         cfg = ModelConfig(n_units=24)
         params = init_params(cfg, SeededRng(10))
@@ -380,8 +463,6 @@ class TestAnalysisCommands:
         assert "state_labels" in report
 
     def test_compare_rotated_latches(self, tmp_path):
-        import dataclasses
-
         task_cfg = TaskConfig(noise_std=0.0, seed=13)
         meta = {"task": dataclasses.asdict(task_cfg)}
         cfg = ModelConfig(n_units=3)
