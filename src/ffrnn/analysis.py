@@ -80,6 +80,8 @@ class CubeReport:
 
 def spectrum(w_rec: np.ndarray, eps_circle: float = 0.05) -> Spectrum:
     """Eigenvalues of the recurrent matrix plus unit-circle statistics."""
+    if not 0 <= eps_circle < np.inf:
+        raise ValueError(f"eps_circle must be finite and >= 0, got {eps_circle}")
     vals = eigenvalues(w_rec)
     radii = np.abs(vals)
     return Spectrum(

@@ -61,6 +61,14 @@ def _probe_for(checkpoint_dir, manifest):
     return generate_probe(config_from(TaskConfig, manifest.get("task") or {}, source))
 
 
+def _project_probe(checkpoint_dir):
+    """Load the checkpoint and project its activity on its probe; returns
+    (projection, probe)."""
+    params, model_cfg, manifest = load_checkpoint(checkpoint_dir)
+    probe = _probe_for(checkpoint_dir, manifest)
+    return collect_and_project(params, model_cfg, probe), probe
+
+
 def cmd_gen(args) -> int:
     start = time.perf_counter()
     config = TaskConfig(
@@ -120,10 +128,7 @@ def cmd_train(args) -> int:
     metadata["loss_history"] = report.loss_per_epoch
     metadata["wall_time_s"] = report.wall_time
     metadata["final_eval"] = dataclasses.asdict(report.final_eval)
-    save_checkpoint(args.out, params, model_cfg, metadata)
-
-    outputs = [os.path.join(args.out, name) for name in
-               ("w_in.rnt", "w_rec.rnt", "w_out.rnt", "history.csv")]
+    outputs = save_checkpoint(args.out, params, model_cfg, metadata) + [history_path]
     final = report.final_eval
     summary = (f"final loss {report.loss_per_epoch[-1]:.6g}"
                if report.loss_per_epoch else "no epochs run")
@@ -175,9 +180,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_project(args) -> int:
     start = time.perf_counter()
-    params, model_cfg, manifest = load_checkpoint(args.checkpoint)
-    probe = _probe_for(args.checkpoint, manifest)
-    projection = collect_and_project(params, model_cfg, probe)
+    projection, probe = _project_probe(args.checkpoint)
     csv_path = os.path.join(args.out, "projection.csv")
     write_projection_csv(csv_path, projection, probe)
     outputs = [csv_path]
@@ -198,10 +201,7 @@ def cmd_project(args) -> int:
 
 
 def _cube_report_for(checkpoint_dir, margin):
-    params, model_cfg, manifest = load_checkpoint(checkpoint_dir)
-    probe = _probe_for(checkpoint_dir, manifest)
-    projection = collect_and_project(params, model_cfg, probe)
-    return memory_states(projection, probe, hold_margin=margin)
+    return memory_states(*_project_probe(checkpoint_dir), hold_margin=margin)
 
 
 def cmd_cube(args) -> int:
@@ -330,30 +330,33 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # --config may stand anywhere; a missing file name exits 2 here
-    pre = argparse.ArgumentParser(prog="ffrnn", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", default=None)
-    cfg_path = pre.parse_known_args(argv)[0].config
-    args = build_parser().parse_args(argv)
-    if cfg_path is not None:
-        try:
-            with open(cfg_path) as fh:
-                values = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read config file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        if not isinstance(values, dict):
-            print(f"config file {cfg_path} does not hold a table of flags",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        # keep the flags of the chosen subcommand, then parse again with them
-        # as defaults, so flags given on the command line still win
-        known = set(vars(args)) - {"command", "config", "func"}
-        args = build_parser({k: v for k, v in values.items() if k in known}
-                            ).parse_args(argv)
+def _config_defaults(path, args) -> dict:
+    """The flags of ``args``' subcommand that the JSON file ``path`` sets, as
+    parser defaults. Numbers go as text, so each flag's ``type=`` converts or
+    rejects them as it does a typed flag; true/false fit only on/off flags."""
     try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path} does not hold a table of flags")
+    defaults = {}
+    for key in sorted(set(values) & (set(vars(args)) - {"command", "config", "func"})):
+        value, switch = values[key], isinstance(getattr(args, key), bool)
+        if type(value) not in ((bool,) if switch else (int, float, str)):
+            raise ValueError(f"config file {path}: {key!r} takes " + (
+                "true or false" if switch else "a number or text") + f", got {value!r}")
+        defaults[key] = value if switch else str(value)
+    return defaults
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.config is not None:
+            # flags given on the command line still win over the file's
+            args = build_parser(_config_defaults(args.config, args)).parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,14 +49,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def random_normal(rng: SeededRng, rows: int, cols: int,
-                  mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Matrix of i.i.d. Gaussian entries, deterministic given the stream."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    return rng.gen.normal(mean, std, size=(rows, cols))
-
-
 def orthogonal_init(rng: SeededRng, n: int) -> np.ndarray:
     """Random n x n orthogonal matrix.
 

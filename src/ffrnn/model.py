@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SeededRng, orthogonal_init, random_normal
+from .linalg import SeededRng, orthogonal_init
 from .tensorio import config_from, read_tensor, write_json, write_tensor
 
 
@@ -43,8 +43,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
-        if self.tau <= 0 or self.dt <= 0:
-            raise ValueError("tau and dt must be > 0")
+        if not (0 < self.tau < np.inf and 0 < self.dt < np.inf):
+            raise ValueError("tau and dt must be finite and > 0")
         if self.dt > self.tau:
             raise ValueError("dt must be <= tau for a stable Euler step")
 
@@ -84,8 +84,8 @@ def init_params(config: ModelConfig, rng: SeededRng) -> RnnParams:
     """
     n, i, o = config.n_units, config.n_in, config.n_out
     w_rec = orthogonal_init(rng.derive("w_rec"), n)
-    w_in = random_normal(rng.derive("w_in"), n, i, 0.0, np.sqrt(2.0 / (i + n)))
-    w_out = random_normal(rng.derive("w_out"), o, n, 0.0, np.sqrt(2.0 / (n + o)))
+    w_in = rng.derive("w_in").gen.normal(0.0, np.sqrt(2.0 / (i + n)), size=(n, i))
+    w_out = rng.derive("w_out").gen.normal(0.0, np.sqrt(2.0 / (n + o)), size=(o, n))
     return RnnParams(w_in, w_rec, w_out, np.zeros(n), np.zeros(o))
 
 
@@ -182,17 +182,17 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
 
 
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
-                    metadata: dict | None = None) -> None:
-    """Write manifest.json plus one tensor file per weight matrix."""
-    write_tensor(os.path.join(out_dir, "w_in.rnt"), params.w_in)
-    write_tensor(os.path.join(out_dir, "w_rec.rnt"), params.w_rec)
-    write_tensor(os.path.join(out_dir, "w_out.rnt"), params.w_out)
-    if config.use_bias:
-        write_tensor(os.path.join(out_dir, "b_rec.rnt"), params.b_rec)
-        write_tensor(os.path.join(out_dir, "b_out.rnt"), params.b_out)
+                    metadata: dict | None = None) -> list:
+    """Write one tensor file per weight matrix (and per bias when the model
+    uses them) plus manifest.json; returns the tensor file paths."""
+    names = ("w_in", "w_rec", "w_out") + (("b_rec", "b_out") if config.use_bias else ())
+    paths = [os.path.join(out_dir, f"{name}.rnt") for name in names]
+    for name, path in zip(names, paths):
+        write_tensor(path, getattr(params, name))
     manifest = {"model": dataclasses.asdict(config)}
     manifest.update(metadata or {})
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return paths
 
 
 def load_checkpoint(in_dir):

@@ -51,10 +51,10 @@ class TaskConfig:
             raise ValueError("delay_steps must be >= 0")
         if self.t_steps <= self.pulse_width + self.delay_steps:
             raise ValueError("t_steps must exceed pulse_width + delay_steps")
-        if self.pulse_amp <= 0:
-            raise ValueError("pulse_amp must be > 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 < self.pulse_amp < np.inf:
+            raise ValueError("pulse_amp must be finite and > 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and >= 0")
 
 
 @dataclass
@@ -81,9 +81,6 @@ class Dataset:
     @property
     def samples(self) -> int:
         return self.x.shape[0]
-
-    def trial(self, i: int) -> Trial:
-        return Trial(self.x[i], self.y[i], events=self.events[i], config=self.config)
 
 
 def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
@@ -138,18 +135,24 @@ def _draw_events(config: TaskConfig, rng: SeededRng) -> tuple:
     return tuple(events)
 
 
-def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
-    """One random trial: the events of ``_draw_events``, then noise added to
-    every input entry from the same stream."""
-    events = _draw_events(config, rng)
+def _pulse_trial(config: TaskConfig, events) -> Trial:
+    """The noiseless trial of ``events``: square pulses of ``pulse_amp`` as
+    inputs and the ``flipflop_oracle`` states as targets."""
     inputs = np.zeros((config.t_steps, config.n_bits))
     for onset, channel, sign in events:
         inputs[onset:onset + config.pulse_width, channel] = sign * config.pulse_amp
     targets = flipflop_oracle(events, config.t_steps, config.delay_steps,
                               config.n_bits, config.pulse_width)
+    return Trial(inputs, targets, events=tuple(events), config=config)
+
+
+def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
+    """One random trial: the events of ``_draw_events``, then noise added to
+    every input entry from the same stream."""
+    trial = _pulse_trial(config, _draw_events(config, rng))
     if config.noise_std > 0:
-        inputs = inputs + rng.gen.normal(0.0, config.noise_std, inputs.shape)
-    return Trial(inputs, targets, events=events, config=config)
+        trial.inputs += rng.gen.normal(0.0, config.noise_std, trial.inputs.shape)
+    return trial
 
 
 def trial_rng(config: TaskConfig, index: int) -> SeededRng:
@@ -172,8 +175,9 @@ def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
     return Dataset(x, y, config, events)
 
 
-def probe_schedule(config: TaskConfig):
-    """Pulse schedule visiting all 8 memory states in Gray order.
+def generate_probe(config: TaskConfig) -> Trial:
+    """Deterministic noiseless 600-step trial visiting all 8 memory states in
+    Gray order.
 
     All three channels are commanded at step 0 to establish the first state;
     the remaining 7 transitions flip one channel each, spaced so every state
@@ -191,19 +195,8 @@ def probe_schedule(config: TaskConfig):
     for k in range(1, 8):
         flipped = next(c for c in range(3) if states[k][c] != states[k - 1][c])
         events.append((k * spacing, flipped, states[k][flipped]))
-    return events, states
-
-
-def generate_probe(config: TaskConfig) -> Trial:
-    """Deterministic noiseless 600-step trial visiting all 8 memory states."""
-    events, _ = probe_schedule(config)
-    probe_config = dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0)
-    inputs = np.zeros((PROBE_STEPS, 3))
-    for onset, channel, sign in events:
-        inputs[onset:onset + config.pulse_width, channel] = sign * config.pulse_amp
-    targets = flipflop_oracle(events, PROBE_STEPS, config.delay_steps, 3,
-                              config.pulse_width)
-    return Trial(inputs, targets, events=tuple(events), config=probe_config)
+    return _pulse_trial(
+        dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0), events)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list:

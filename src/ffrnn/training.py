@@ -65,8 +65,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # learning_rate 0 is allowed: it makes training a documented no-op
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

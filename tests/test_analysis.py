@@ -66,6 +66,11 @@ class TestSpectrum:
         assert spec.radius_max == pytest.approx(1.2)
         assert spec.radius_min == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("eps", [-2.0, np.nan, np.inf])
+    def test_bad_margin_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps_circle"):
+            spectrum(np.eye(2), eps_circle=eps)
+
     def test_conjugate_symmetry_and_trace(self):
         m = SeededRng(2).gen.normal(size=(12, 12))
         spec = spectrum(m)

@@ -1,0 +1,52 @@
+"""tools/bench_pairs.py pairs only checkouts that hold the same benchmark."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs",
+                                               ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def make_root(path, harness="WORKLOADS = 3\n"):
+    """A checkout holding only a benchmark; its run.py fails if it is run."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
+    (path / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    (path / "perfbench" / "harness.py").write_text(harness)
+    return path
+
+
+def pair_args(parent, change, tmp_path):
+    return ["--parent", str(parent), "--change", str(change),
+            "--workload", "train-128", "--pairs", "2", "--out", str(tmp_path / "o.json")]
+
+
+def test_same_benchmark_pairs(tmp_path):
+    parent, change = make_root(tmp_path / "a"), make_root(tmp_path / "b")
+    # bytecode caches differ from checkout to checkout and do not count
+    (change / "perfbench" / "__pycache__").mkdir()
+    (change / "perfbench" / "__pycache__" / "harness.pyc").write_bytes(b"\0")
+    (change / "src").mkdir()
+    (change / "src" / "program.py").write_text("changed = True\n")
+    assert bench_pairs.benchmark_difference(parent, change) is None
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda root: (root / "perfbench" / "harness.py").write_text("WORKLOADS = 4\n"),
+     "perfbench/harness.py"),
+    (lambda root: (root / "perfbench" / "extra.py").write_text(""),
+     "perfbench/extra.py"),
+    (lambda root: (root / "perfbench" / "run.py").unlink(), "perfbench/run.py"),
+    (lambda root: (root / "BENCHMARK.json").write_text("{}\n"), "BENCHMARK.json"),
+])
+def test_different_benchmark_exits_2_before_running(tmp_path, capsys, edit, name):
+    parent, change = make_root(tmp_path / "a"), make_root(tmp_path / "b")
+    edit(change)
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, init_params, load_checkpoint, save_checkpoint
-from ffrnn.task import TaskConfig, generate_dataset, save_dataset
+from ffrnn.task import TaskConfig, generate_dataset, load_dataset, save_dataset
 from ffrnn.tensorio import sha256_file
 
 
@@ -132,6 +132,17 @@ class TestTrain:
                        "--clip", 0, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["training"]["grad_clip_norm"] is None
+
+    def test_bias_run_manifest_hashes_biases(self, tmp_path, small_data):
+        out = tmp_path / "ckpt_b"
+        assert run_cli("train", "--data", small_data, "--units", 4, "--epochs", 1,
+                       "--bias", "--out", out) == 0
+        listed = {o["path"]: o["sha256"] for o in
+                  json.loads((out / "run_manifest.json").read_text())["outputs"]}
+        assert list(listed) == ["w_in.rnt", "w_rec.rnt", "w_out.rnt", "b_rec.rnt",
+                                "b_out.rnt", "history.csv"]
+        for name, digest in listed.items():
+            assert digest == sha256_file(out / name)
 
     def test_missing_dataset_exits_2(self, tmp_path):
         code = run_cli("train", "--data", tmp_path / "nope", "--units", 8,
@@ -279,6 +290,21 @@ def dataset_with_fractional_delay(tmp_path, data):
     return args
 
 
+def manifest_with_nan_tau(tmp_path, data):
+    args = manifest_with_float_n_units(tmp_path, data)
+    manifest = json.loads((tmp_path / "odd" / "manifest.json").read_text())
+    manifest["model"]["n_units"] = 4
+    manifest["model"]["tau"] = float("nan")   # json writes and reads NaN
+    (tmp_path / "odd" / "manifest.json").write_text(json.dumps(manifest))
+    return args
+
+
+def config_file_args(tmp_path, values, *args):
+    """``--config FILE`` holding ``values``, then ``args``."""
+    (tmp_path / "conf.json").write_text(json.dumps(values))
+    return ["--config", tmp_path / "conf.json", *args]
+
+
 def checkpoint_args(tmp_path, data, *args):
     """``args`` naming a fresh checkpoint whose manifest carries
     ``data``'s task."""
@@ -298,6 +324,32 @@ def config_holding_a_list(tmp_path, _data):
     pytest.param(lambda tmp_path, _data: ["gen", "--out", tmp_path / "d", "--config"],
                  "--config", id="config-without-file"),
     pytest.param(config_holding_a_list, "table of flags", id="config-not-a-table"),
+    pytest.param(lambda tmp_path, _data: config_file_args(
+        tmp_path, {"samples": 4.5}, "gen", "--out", tmp_path / "d"),
+                 "--samples", id="config-float-for-int-flag"),
+    pytest.param(lambda tmp_path, _data: config_file_args(
+        tmp_path, {"samples": True}, "gen", "--out", tmp_path / "d"),
+                 "'samples' takes a number or text", id="config-bool-for-number"),
+    pytest.param(lambda tmp_path, data: config_file_args(
+        tmp_path, {"bias": 1}, "train", "--data", data, "--units", 4,
+        "--out", tmp_path / "t"),
+                 "'bias' takes true or false", id="config-number-for-switch"),
+    pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", noise="nan"),
+                 "noise_std", id="nan-noise"),
+    pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", pulse_amp="inf"),
+                 "pulse_amp", id="infinite-pulse-amp"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--lr", "nan", "--out", tmp_path / "t"],
+                 "learning_rate", id="nan-learning-rate"),
+    pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
+                                         "--tau", "inf", "--out", tmp_path / "t"],
+                 "tau and dt must be finite", id="infinite-tau"),
+    pytest.param(manifest_with_nan_tau, "tau and dt must be finite",
+                 id="nan-tau-in-manifest"),
+    pytest.param(lambda tmp_path, data: checkpoint_args(
+        tmp_path, data, "spectrum", "--checkpoint", "CKPT", "--eps", -2,
+        "--out", tmp_path / "spec"),
+                 "eps_circle", id="negative-spectrum-eps"),
     pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
                                          "--eval-fraction", -0.5,
                                          "--out", tmp_path / "t"],
@@ -373,6 +425,36 @@ def test_fuzzed_model_manifest_exits_0_or_2(small_ckpt, changed, dropped):
     model = {k: v for k, v in model.items() if k not in dropped} | changed
     (ckpt / "manifest.json").write_text(json.dumps({"model": model}))
     assert run_cli("spectrum", "--checkpoint", ckpt, "--out", ckpt / "spec") in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory, small_data):
+    """A copy of small_data's tensors, its config.json as a dict, and a
+    4-unit checkpoint to evaluate on it."""
+    root = tmp_path_factory.mktemp("fuzz_data")
+    for name in ("x.rnt", "y.rnt"):
+        (root / name).write_bytes((small_data / name).read_bytes())
+    cfg = ModelConfig(n_units=4)
+    save_checkpoint(root / "ckpt", init_params(cfg, SeededRng(1)), cfg)
+    return root, json.loads((small_data / "config.json").read_text())
+
+
+TASK_KEYS = st.sampled_from(sorted(dataclasses.asdict(TaskConfig())))
+# JSON_VALUES plus non-finite, negative and fractional numbers, and floats
+# equal to an int field's valid value
+TASK_VALUES = st.one_of(JSON_VALUES, st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -1, -0.5, 0.0, 1e300, 10 ** 20,
+     2 ** 63, 3.0, 4.0, 5.0, 8, 20, 20.5, 60, 60.0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(changed=st.dictionaries(TASK_KEYS, TASK_VALUES, max_size=3),
+       dropped=st.sets(TASK_KEYS, max_size=2))
+def test_fuzzed_dataset_config_exits_0_or_2(fuzz_data, changed, dropped):
+    root, task = fuzz_data
+    task = {k: v for k, v in task.items() if k not in dropped} | changed
+    (root / "config.json").write_text(json.dumps(task))
+    assert run_cli("eval", "--checkpoint", root / "ckpt", "--data", root) in (0, 2)
 
 
 def write_latch_checkpoint(out_dir, task_cfg):
@@ -516,3 +598,23 @@ class TestEntryPoint:
         raw = (out / "x.rnt").read_bytes()
         _, _, s, t, _ = struct.unpack_from("<5I", raw, 4)
         assert (s, t) == (3, 64)
+
+    def test_abbreviated_config_flag(self, tmp_path):
+        # argparse takes --conf for --config, and the file must count then too
+        cfg_file = tmp_path / "conf.json"
+        cfg_file.write_text(json.dumps({"samples": 3, "steps": 64, "noise": 0}))
+        assert run_cli("--conf", cfg_file, "gen", "--out", tmp_path / "d") == 0
+        assert load_dataset(tmp_path / "d").x.shape == (3, 64, 3)
+        # a flag on the command line wins over the file
+        assert run_cli("--conf", cfg_file, "gen", "--samples", 2,
+                       "--out", tmp_path / "e") == 0
+        assert load_dataset(tmp_path / "e").x.shape == (2, 64, 3)
+
+    def test_config_switch(self, tmp_path, small_data):
+        cfg_file = tmp_path / "conf.json"
+        cfg_file.write_text(json.dumps({"bias": True, "units": 4, "epochs": 0}))
+        out = tmp_path / "ckpt"
+        assert run_cli("--config", cfg_file, "train", "--data", small_data,
+                       "--out", out) == 0
+        _, cfg, _ = load_checkpoint(out)
+        assert cfg == ModelConfig(n_units=4, use_bias=True)

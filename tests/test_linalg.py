@@ -7,7 +7,6 @@ from ffrnn.linalg import (
     eigenvalues,
     orthogonal_init,
     pca_top_k,
-    random_normal,
 )
 
 
@@ -28,27 +27,6 @@ class TestSeededRng:
         r1.gen.normal(size=10)
         r2 = SeededRng(9)
         assert r1.derive("x").seed == r2.derive("x").seed
-
-
-class TestRandomNormal:
-    def test_zero_std_is_constant(self):
-        m = random_normal(SeededRng(1), 4, 5, mean=2.5, std=0.0)
-        npt.assert_array_equal(m, np.full((4, 5), 2.5))
-
-    def test_sample_statistics(self):
-        std = 1.0 / np.sqrt(400.0)
-        m = random_normal(SeededRng(2), 400, 400, mean=0.0, std=std)
-        assert abs(m.mean()) <= 4 * std / np.sqrt(400 * 400)
-        assert abs(m.var() - 1.0 / 400) <= 0.1 / 400
-
-    def test_deterministic(self):
-        a = random_normal(SeededRng(3), 10, 10)
-        b = random_normal(SeededRng(3), 10, 10)
-        npt.assert_array_equal(a, b)
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            random_normal(SeededRng(1), 2, 2, std=-1.0)
 
 
 class TestOrthogonalInit:

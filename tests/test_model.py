@@ -214,9 +214,18 @@ class TestCheckpoint:
         cfg = ModelConfig(n_units=4, use_bias=True)
         params = init_params(cfg, SeededRng(22))
         params.b_rec = SeededRng(23).gen.normal(size=4)
-        save_checkpoint(tmp_path, params, cfg)
+        paths = save_checkpoint(tmp_path, params, cfg)
         loaded, _, _ = load_checkpoint(tmp_path)
         npt.assert_allclose(loaded.b_rec, params.b_rec, rtol=1e-6)
+        assert paths == [str(tmp_path / f"{k}.rnt") for k in
+                         ("w_in", "w_rec", "w_out", "b_rec", "b_out")]
+
+    def test_written_tensors_listed(self, tmp_path):
+        params, cfg = small_params(seed=24)
+        paths = save_checkpoint(tmp_path, params, cfg)
+        assert paths == [str(tmp_path / f"{k}.rnt") for k in ("w_in", "w_rec", "w_out")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "w_in.rnt", "w_out.rnt", "w_rec.rnt"]
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -227,6 +236,9 @@ class TestCheckpoint:
             ModelConfig(n_units=0)
         with pytest.raises(ValueError):
             ModelConfig(n_units=4, dt=2.0, tau=1.0)
+        for bad in ({"tau": np.nan}, {"dt": np.nan}, {"tau": np.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                ModelConfig(n_units=4, **bad)
 
     def test_manifest_activation_key(self, tmp_path):
         # manifests written while ModelConfig had an activation field carry

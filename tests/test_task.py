@@ -228,11 +228,8 @@ class TestConfigValidation:
             TaskConfig(noise_std=-0.1)
         with pytest.raises(ValueError):
             TaskConfig(pulse_amp=0.0)
-
-    def test_dataset_trial_accessor(self):
-        cfg = TaskConfig(t_steps=60, seed=15)
-        ds = generate_dataset(cfg, 3)
-        trial = ds.trial(2)
-        npt.assert_array_equal(trial.inputs, ds.x[2])
-        assert trial.config == cfg
-        assert trial.events == ds.events[2]
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="pulse_amp"):
+                TaskConfig(pulse_amp=value)
+            with pytest.raises(ValueError, match="noise_std"):
+                TaskConfig(noise_std=value)

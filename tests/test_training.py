@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ffrnn import training
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, batch_forward, init_params
-from ffrnn.task import Dataset, TaskConfig, generate_dataset
+from ffrnn.task import Dataset, TaskConfig, Trial, generate_dataset
 from ffrnn.training import (
     BETA1,
     BETA2,
@@ -512,7 +512,8 @@ class TestEvaluate:
     def test_single_trial_input(self):
         cfg = TaskConfig(noise_std=0.0, seed=33)
         ds = generate_dataset(cfg, 1)
-        metrics = evaluate(latch_params(), ModelConfig(n_units=3), ds.trial(0))
+        trial = Trial(ds.x[0], ds.y[0], events=ds.events[0], config=cfg)
+        metrics = evaluate(latch_params(), ModelConfig(n_units=3), trial)
         assert metrics.state_accuracy == 1.0
 
     @pytest.mark.parametrize("noise", [0.05, 0.2, 0.3])
@@ -577,8 +578,9 @@ class TestTrainConfig:
         assert {zero.learning_rate_at(k, 100) for k in range(100)} == {0.0}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-1e-3)
+        for rate in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         for clip in (0.0, -0.5, float("nan")):

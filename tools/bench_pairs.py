@@ -11,6 +11,11 @@ BLAS to one thread. For every end-to-end metric of ``BENCHMARK.json`` the
 output holds the median and quartiles of each side, the median change, and
 the number of pairs the new code won. Workloads already in ``--out`` are
 kept, so the workloads can be run one at a time into the same file.
+
+Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
+under ``perfbench/`` differs between them, the script names the file and
+exits 2 before it runs anything, since a pairing of two different
+benchmarks measures no change of the program.
 """
 
 from __future__ import annotations
@@ -21,6 +26,21 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def benchmark_files(root: Path) -> dict:
+    """Relative path -> bytes of ``BENCHMARK.json`` and of every file under
+    ``perfbench/``, leaving out Python's bytecode caches."""
+    paths = [root / "BENCHMARK.json"] + sorted((root / "perfbench").rglob("*"))
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file that is not the same in both checkouts."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return next((name for name in sorted(a.keys() | b.keys())
+                 if a.get(name) != b.get(name)), None)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -68,6 +88,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
+    differs = benchmark_difference(args.parent, args.change)
+    if differs is not None:
+        print(f"the benchmark differs between the checkouts: {differs}",
+              file=sys.stderr)
+        return 2
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent, "change": args.change}
