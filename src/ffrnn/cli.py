@@ -1,7 +1,7 @@
 """Command-line front door: gen / train / eval / spectrum / project / cube /
 gradcheck / compare, wired into reproducible runs.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure. Every
+Exit codes: 0 success, 2 usage, input or file error, 3 numerical failure. Every
 command writes a run_manifest.json listing its outputs with content hashes;
 re-running with the same flags reproduces the hashed tensors bit-exactly.
 """
@@ -244,10 +244,16 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else NUMERICAL_ERROR
 
 
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The full parser; ``defaults`` (flag dest -> value) override the
-    defaults of every subcommand."""
+def build_parser(defaults=None):
+    """The full parser, and the dests of every subcommand's flags;
+    ``defaults`` (flag dest -> value) override the defaults of every
+    subcommand."""
     defaults = defaults or {}
+    flags = set()
+
+    def flag(p, *names, **kwargs):
+        flags.add(p.add_argument(*names, **kwargs).dest)
+
     parser = argparse.ArgumentParser(
         prog="ffrnn",
         description="Train and analyze flip-flop memory recurrent networks.")
@@ -257,83 +263,86 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a flip-flop dataset")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--bits", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--delay", type=int, default=20)
-    p.add_argument("--pulse-width", type=int, default=10)
-    p.add_argument("--pulse-amp", type=float, default=1.0)
-    p.add_argument("--min-gap", type=int, default=30)
-    p.add_argument("--max-gap", type=int, default=100)
-    p.add_argument("--out", required=True)
+    flag(p, "--samples", type=int, default=1000)
+    flag(p, "--steps", type=int, default=300)
+    flag(p, "--bits", type=int, default=3)
+    flag(p, "--seed", type=int, default=0)
+    flag(p, "--noise", type=float, default=0.05)
+    flag(p, "--delay", type=int, default=20)
+    flag(p, "--pulse-width", type=int, default=10)
+    flag(p, "--pulse-amp", type=float, default=1.0)
+    flag(p, "--min-gap", type=int, default=30)
+    flag(p, "--max-gap", type=int, default=100)
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_gen, **defaults)
 
     p = sub.add_parser("train", help="train a network on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--units", type=int, default=400)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--bias", action="store_true")
-    p.add_argument("--clip", type=float, default=0.5,
-                   help="global gradient-norm clip; 0 disables")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-fraction", type=float, default=0.05)
-    p.add_argument("--checkpoint-every", type=int, default=0)
-    p.add_argument("--out", required=True)
+    flag(p, "--data", required=True)
+    flag(p, "--units", type=int, default=400)
+    flag(p, "--epochs", type=int, default=20)
+    flag(p, "--batch", type=int, default=128)
+    flag(p, "--lr", type=float, default=1e-3)
+    flag(p, "--tau", type=float, default=1.0)
+    flag(p, "--dt", type=float, default=1.0)
+    flag(p, "--bias", action="store_true")
+    flag(p, "--clip", type=float, default=0.5,
+            help="global gradient-norm clip; 0 disables")
+    flag(p, "--seed", type=int, default=0)
+    flag(p, "--eval-fraction", type=float, default=0.05)
+    flag(p, "--checkpoint-every", type=int, default=0)
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_train, **defaults)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", default=None)
-    p.add_argument("--pad", type=int, default=10)
-    p.add_argument("--out", default=None)
+    flag(p, "--checkpoint", required=True)
+    flag(p, "--data", default=None)
+    flag(p, "--pad", type=int, default=10)
+    flag(p, "--out", default=None)
     p.set_defaults(func=cmd_eval, **defaults)
 
     p = sub.add_parser("spectrum", help="eigenspectrum of the recurrent matrix")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--svg", action="store_true")
-    p.add_argument("--out", required=True)
+    flag(p, "--checkpoint", required=True)
+    flag(p, "--eps", type=float, default=0.05)
+    flag(p, "--svg", action="store_true")
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_spectrum, **defaults)
 
     p = sub.add_parser("project", help="project probe activity onto top-3 axes")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--svg", action="store_true")
-    p.add_argument("--out", required=True)
+    flag(p, "--checkpoint", required=True)
+    flag(p, "--svg", action="store_true")
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_project, **defaults)
 
     p = sub.add_parser("cube", help="memory-state cube geometry report")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--margin", type=int, default=10)
-    p.add_argument("--out", required=True)
+    flag(p, "--checkpoint", required=True)
+    flag(p, "--margin", type=int, default=10)
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_cube, **defaults)
 
     p = sub.add_parser("compare", help="compare cube reports across checkpoints")
-    p.add_argument("--checkpoints", nargs="+", required=True)
-    p.add_argument("--margin", type=int, default=10)
-    p.add_argument("--out", required=True)
+    flag(p, "--checkpoints", nargs="+", required=True)
+    flag(p, "--margin", type=int, default=10)
+    flag(p, "--out", required=True)
     p.set_defaults(func=cmd_compare, **defaults)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--units", type=int, default=8)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    flag(p, "--units", type=int, default=8)
+    flag(p, "--steps", type=int, default=10)
+    flag(p, "--trials", type=int, default=20)
+    flag(p, "--batch", type=int, default=2)
+    flag(p, "--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck, **defaults)
 
-    return parser
+    return parser, flags
 
 
-def _config_defaults(path, args) -> dict:
+def _config_defaults(path, args, flags) -> dict:
     """The flags of ``args``' subcommand that the JSON file ``path`` sets, as
     parser defaults. Numbers go as text, so each flag's ``type=`` converts or
-    rejects them as it does a typed flag; true/false fit only on/off flags."""
+    rejects them as it does a typed flag; true/false fit only on/off flags.
+    A key that is a flag of another subcommand is left for that one, so one
+    file can serve several commands; a key in no subcommand's ``flags`` is
+    rejected."""
     try:
         with open(path) as fh:
             values = json.load(fh)
@@ -341,6 +350,9 @@ def _config_defaults(path, args) -> dict:
         raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} does not hold a table of flags")
+    unknown = sorted(set(values) - flags)
+    if unknown:
+        raise ValueError(f"config file {path}: {unknown[0]!r} is a flag of no command")
     defaults = {}
     for key in sorted(set(values) & (set(vars(args)) - {"command", "config", "func"})):
         value, switch = values[key], isinstance(getattr(args, key), bool)
@@ -352,13 +364,15 @@ def _config_defaults(path, args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, flags = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config is not None:
             # flags given on the command line still win over the file's
-            args = build_parser(_config_defaults(args.config, args)).parse_args(argv)
+            defaults = _config_defaults(args.config, args, flags)
+            args = build_parser(defaults)[0].parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (np.linalg.LinAlgError, DivergenceError, FloatingPointError) as exc:

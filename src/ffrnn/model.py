@@ -15,7 +15,10 @@ The recurrence runs time-major in one
 [z(h_{t-1}) | h_t | x_t | 1], so each step is a single GEMM with the step
 matrix [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]], which gives the
 readout of h_t and the pre-activation a_t together, followed by tanh
-(``_recurrence``).
+(``_recurrence``). It starts from the state its caller leaves in row 0:
+``batch_forward`` and ``training.bptt_gradients`` zero it, and
+``training.evaluate`` carries the last state of one block of steps into the
+next.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
+def _forward_input(params: RnnParams, config: ModelConfig, x) -> np.ndarray:
+    """``x`` as a float64 array, once the parameter shapes are checked and
+    ``x`` is known to be [batch, t_steps, n_in]."""
+    _check_shapes(params, config)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[2] != config.n_in:
+        raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
+    return x
+
+
 def _time_major(rows: int, batch: int, width: int, flat=None):
     """A [rows, batch, width] float64 buffer: a fresh array, or a contiguous
     prefix of the 1-D array ``flat``, so its strides are the same either
@@ -114,17 +127,18 @@ def _time_major(rows: int, batch: int, width: int, flat=None):
 
 def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
                 u: np.ndarray, ss: np.ndarray | None = None) -> None:
-    """The recurrence over a [batch, t_steps, n_in] tensor, time-major, from
-    the zero state, written into the
-    [t_steps + 2, batch, n_out + n_units + n_in + 1] buffer ``u``.
+    """The recurrence over a [batch, t_steps, n_in] tensor, time-major,
+    written into the first t_steps + 2 rows of the
+    [rows, batch, n_out + n_units + n_in + 1] buffer ``u``, from the start
+    state h_0 that the caller leaves in row 0's h slot.
 
-    Row t of u holds [z(h_{t-1}) | h_t | x_t | 1]: h_0 = 0, h_{t+1} is the
-    state after step t, and z(h) = W_out h + b_out. Step t is one GEMM,
+    Row t of u holds [z(h_{t-1}) | h_t | x_t | 1]: h_{t+1} is the state
+    after step t, and z(h) = W_out h + b_out. Step t is one GEMM,
     [h_t | x_t | 1] @ [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]],
     into [z(h_t) | a_t] of row t + 1, then tanh in place. One more step at
-    t = t_steps, over x = 0, reads out h_t_steps into the last row, so the
-    readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
-    readout slot and the last row's other slots hold no values. At alpha = 1
+    t = t_steps, over x = 0, reads out h_t_steps into row t_steps + 1, so
+    the readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
+    readout slot and row t_steps + 1's other slots hold no values. At alpha = 1
     the state is tanh(a_t) itself; at alpha < 1, tanh(a_t) goes to ss[t]
     when ss (a [t_steps, batch, n_units] view) is given. Values are not
     checked for finiteness here.
@@ -132,7 +146,6 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
     batch, t_steps, _ = x.shape
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     alpha = config.alpha
-    u[0, :, n_out:n_out + n] = 0.0
     u[:t_steps, :, n_out + n:-1] = x.transpose(1, 0, 2)
     u[t_steps, :, n_out + n:-1] = 0.0
     u[:t_steps + 1, :, -1] = 1.0
@@ -167,14 +180,11 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
     does not keep the whole buffer alive. Non-finite values are returned as
     they are; ``training.bptt_gradients`` checks finiteness once per batch.
     """
-    _check_shapes(params, config)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[2] != config.n_in:
-        raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
-
+    x = _forward_input(params, config, x)
     batch, t_steps, _ = x.shape
     n, n_out = config.n_units, config.n_out
     u = _time_major(t_steps + 2, batch, n_out + n + config.n_in + 1)
+    u[0, :, n_out:n_out + n] = 0.0
     _recurrence(params, config, x, u)
     h = u[1:t_steps + 1, :, n_out:n_out + n].transpose(1, 0, 2)
     z = u[2:, :, :n_out].transpose(1, 0, 2).copy()

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SeededRng
-from .model import ModelConfig, RnnParams, _recurrence, _time_major, batch_forward
+from .model import (ModelConfig, RnnParams, _forward_input, _recurrence,
+                    _time_major, batch_forward)
 from .task import Dataset, Trial
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
@@ -123,10 +124,11 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
                    batch_x: np.ndarray, batch_y: np.ndarray, work=None):
     """Exact loss gradients over a batch by reverse accumulation.
 
-    Unrolls the recurrence with the time-major kernel that ``batch_forward``
-    also runs, whose row t holds [z(h_{t-1}) | h_t | x_t | 1]. A non-finite
-    batch loss raises a DivergenceError naming the first step with a
-    non-finite activation, if any. Then walks the steps backwards.
+    Unrolls the recurrence from the zero state with the time-major kernel
+    that ``batch_forward`` also runs, whose row t holds
+    [z(h_{t-1}) | h_t | x_t | 1]. A non-finite batch loss raises a
+    DivergenceError naming the first step with a non-finite activation, if
+    any. Then walks the steps backwards.
     Row j of a [t_steps + 1, batch, n_out + n] buffer holds [err_j | d_j],
     the readout error z(h_j) - y_{j-1} of state h_j (zero for h_0) and
     d_j = dL/da_j (zero for j = t_steps), so each step is one GEMM,
@@ -157,6 +159,7 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     eg = _time_major(t_steps + 1, batch, n_out + n, work[1])
     sens = eg[:t_steps, :, n_out:]   # d_t, and tanh(a_t) before it at alpha < 1
 
+    u[0, :, n_out:n_out + n] = 0.0
     _recurrence(params, config, batch_x, u, None if alpha == 1.0 else sens)
     ss = u[1:t_steps + 1, :, n_out:n_out + n] if alpha == 1.0 else sens
 
@@ -313,8 +316,10 @@ def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     return mask
 
 
-# trials per forward pass in evaluate; bounds its memory for large datasets
+# trials per forward pass in evaluate, and steps per block of that pass;
+# the block buffer, about 4.7 MB at 128 units, is small enough to stay in cache
 _EVAL_CHUNK = 128
+_EVAL_BLOCK = 32
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -324,9 +329,17 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside the transition window
     of every pulse event (``_clean_hold_mask``), and sign(z) equals the
-    target on all channels; it is NaN when no step is a clean hold. The
-    forward pass runs over slices of ``_EVAL_CHUNK`` trials, so only one
-    slice's hidden trajectory is held at a time.
+    target on all channels; it is NaN when no step is a clean hold.
+
+    The forward pass runs ``_EVAL_CHUNK`` trials at a time, each chunk in
+    blocks of ``_EVAL_BLOCK`` steps through one
+    [_EVAL_BLOCK + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
+    starts each block from the state in row 0, and the block's last state
+    goes there for the next one. Only the chunk's readouts are kept, so
+    memory does not grow with the number of trials or of steps. The readout
+    of a block's last state is taken from the next block's first step GEMM,
+    as ``batch_forward`` takes it, so a chunk's readouts equal those of
+    ``batch_forward`` over that chunk bit for bit.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -337,11 +350,28 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         raise ValueError("a task config is required to locate transition windows")
     if transition_pad < 0:
         raise ValueError(f"transition_pad must be >= 0, got {transition_pad}")
+    x = _forward_input(params, model_cfg, x)
 
+    trials, t_steps, _ = x.shape
+    n, n_out = model_cfg.n_units, model_cfg.n_out
+    width = n_out + n + model_cfg.n_in + 1
+    chunk = min(_EVAL_CHUNK, trials)
+    flat = np.empty((_EVAL_BLOCK + 2) * chunk * width)
+    z_chunk = np.empty((chunk, t_steps, n_out))
     squared, matched, considered = 0.0, 0, 0
-    for lo in range(0, x.shape[0], _EVAL_CHUNK):
+    for lo in range(0, trials, _EVAL_CHUNK):
         xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
-        z = batch_forward(params, model_cfg, xs)[1]  # the slice's h is freed
+        batch = xs.shape[0]
+        z = z_chunk[:batch]
+        u = _time_major(_EVAL_BLOCK + 2, batch, width, flat)
+        u[0, :, n_out:n_out + n] = 0.0
+        for t in range(0, t_steps, _EVAL_BLOCK):
+            k = min(_EVAL_BLOCK, t_steps - t)
+            _recurrence(params, model_cfg, xs[:, t:t + k], u)
+            if t:   # the previous block's last readout, from the step GEMM
+                z[:, t - 1] = u[1, :, :n_out]
+            z[:, t:t + k] = u[2:k + 2, :, :n_out].transpose(1, 0, 2)
+            u[0, :, n_out:n_out + n] = u[k, :, n_out:n_out + n]
         squared += float(np.sum((z - ys) ** 2))
         valid = _clean_hold_mask(events[lo:lo + _EVAL_CHUNK], ys, cfg,
                                  transition_pad)

@@ -13,10 +13,12 @@ _spec.loader.exec_module(bench_pairs)
 
 
 def make_root(path, harness="WORKLOADS = 3\n"):
-    """A checkout holding only a benchmark; its run.py fails if it is run."""
+    """A checkout holding only a benchmark; its run.py fails if it is run,
+    with a message on stderr."""
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
-    (path / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    (path / "perfbench" / "run.py").write_text(
+        "raise SystemExit('no such workload here')\n")
     (path / "perfbench" / "harness.py").write_text(harness)
     return path
 
@@ -49,4 +51,13 @@ def test_different_benchmark_exits_2_before_running(tmp_path, capsys, edit, name
     edit(change)
     assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_failed_run_exits_1_with_its_stderr(tmp_path, capsys):
+    parent, change = make_root(tmp_path / "a"), make_root(tmp_path / "b")
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "pair 0 parent: perfbench/run.py exited 1" in err
+    assert "no such workload here" in err
     assert not (tmp_path / "o.json").exists()

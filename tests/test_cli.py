@@ -315,6 +315,25 @@ def checkpoint_args(tmp_path, data, *args):
     return [a if a != "CKPT" else ckpt for a in args]
 
 
+def two_bit_data_on_three_input_checkpoint(tmp_path, data):
+    two_bits = tmp_path / "bits2"
+    save_dataset(generate_dataset(TaskConfig(n_bits=2, t_steps=60, delay_steps=5,
+                                             seed=5), 3), two_bits)
+    return checkpoint_args(tmp_path, data, "eval", "--checkpoint", "CKPT",
+                           "--data", two_bits)
+
+
+def gen_over_a_file(tmp_path, _data):
+    (tmp_path / "taken").write_text("")
+    return gen_args(tmp_path / "taken")
+
+
+def eval_out_a_directory(tmp_path, data):
+    (tmp_path / "m").mkdir()
+    return checkpoint_args(tmp_path, data, "eval", "--checkpoint", "CKPT",
+                           "--data", data, "--out", tmp_path / "m")
+
+
 def config_holding_a_list(tmp_path, _data):
     (tmp_path / "list.json").write_text("[3, 64]")
     return ["--config", tmp_path / "list.json", "gen", "--out", tmp_path / "d"]
@@ -334,6 +353,13 @@ def config_holding_a_list(tmp_path, _data):
         tmp_path, {"bias": 1}, "train", "--data", data, "--units", 4,
         "--out", tmp_path / "t"),
                  "'bias' takes true or false", id="config-number-for-switch"),
+    pytest.param(lambda tmp_path, _data: config_file_args(
+        tmp_path, {"sample": 3, "steps": 64}, "gen", "--out", tmp_path / "d"),
+                 "'sample' is a flag of no command", id="config-unknown-key"),
+    pytest.param(two_bit_data_on_three_input_checkpoint, "x must be [batch, t, 3]",
+                 id="eval-bits-mismatch"),
+    pytest.param(gen_over_a_file, "File exists", id="gen-out-is-a-file"),
+    pytest.param(eval_out_a_directory, "Is a directory", id="eval-out-is-a-directory"),
     pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", noise="nan"),
                  "noise_std", id="nan-noise"),
     pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", pulse_amp="inf"),
@@ -399,6 +425,7 @@ def config_holding_a_list(tmp_path, _data):
 def test_bad_input_exits_2(tmp_path, small_data, make_args, message, capsys):
     assert exit_code(*make_args(tmp_path, small_data)) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 @pytest.fixture(scope="module")
@@ -609,6 +636,13 @@ class TestEntryPoint:
         assert run_cli("--conf", cfg_file, "gen", "--samples", 2,
                        "--out", tmp_path / "e") == 0
         assert load_dataset(tmp_path / "e").x.shape == (2, 64, 3)
+
+    def test_config_key_of_another_command(self, tmp_path):
+        # one file can serve several commands: gen leaves train's --units be
+        cfg_file = tmp_path / "conf.json"
+        cfg_file.write_text(json.dumps({"units": 8, "samples": 3, "steps": 64}))
+        assert run_cli("--config", cfg_file, "gen", "--out", tmp_path / "d") == 0
+        assert load_dataset(tmp_path / "d").x.shape == (3, 64, 3)
 
     def test_config_switch(self, tmp_path, small_data):
         cfg_file = tmp_path / "conf.json"

@@ -18,6 +18,7 @@ from ffrnn.training import (
     AdamState,
     DivergenceError,
     TrainConfig,
+    _EVAL_BLOCK,
     _EVAL_CHUNK,
     _clean_hold_mask,
     adam_update,
@@ -531,14 +532,14 @@ class TestEvaluate:
         assert mask.mean() > 0.05
 
     def test_peak_memory_one_chunk(self):
-        # evaluate keeps only z of a chunk, which owns its memory, so the
-        # previous chunk's forward buffer is freed before the next one is
-        # allocated; were z a view, two buffers would be alive at once
-        task = TaskConfig(t_steps=100)
+        # evaluate runs each chunk through one [_EVAL_BLOCK + 2, chunk, ...]
+        # buffer and keeps only the chunk's readouts, so its peak is a small
+        # part of the one full-history buffer a chunk would otherwise fill
+        task = TaskConfig(t_steps=300)
         mcfg = ModelConfig(n_units=64)
         params = init_params(mcfg, SeededRng(37))
         trials = 3 * _EVAL_CHUNK
-        x = SeededRng(38).gen.normal(size=(trials, 100, 3))
+        x = SeededRng(38).gen.normal(size=(trials, 300, 3))
         ds = Dataset(x, np.zeros_like(x), task, [[] for _ in range(trials)])
         evaluate(params, mcfg, ds)
         tracemalloc.start()
@@ -547,22 +548,57 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        buffer = (100 + 2) * _EVAL_CHUNK * (3 + 64 + 3 + 1) * 8
-        assert peak <= 1.2 * buffer, f"peak {peak / buffer:.2f} forward buffers"
+        full = (300 + 2) * _EVAL_CHUNK * (3 + 64 + 3 + 1) * 8
+        assert peak <= 0.3 * full, f"peak {peak / full:.2f} full-history buffers"
 
-    def test_chunked_matches_whole_dataset(self):
-        cfg = TaskConfig(seed=35)
-        ds = generate_dataset(cfg, 300)
-        mcfg = ModelConfig(n_units=8)
+    # short trials, so that clean holds exist at transition pad 2
+    SHORT = dict(pulse_width=2, delay_steps=2, min_gap=4, max_gap=12)
+
+    @pytest.mark.parametrize("task, model, trials, pad", [
+        pytest.param(dict(t_steps=300), {}, 2 * _EVAL_CHUNK + 44, 10,
+                     id="300-steps"),
+        pytest.param(SHORT | dict(t_steps=_EVAL_BLOCK - 7), {}, 40, 2,
+                     id="below-one-block"),
+        pytest.param(SHORT | dict(t_steps=_EVAL_BLOCK), {}, 40, 2, id="one-block"),
+        pytest.param(SHORT | dict(t_steps=3 * _EVAL_BLOCK + 5), {}, 40, 2,
+                     id="not-a-multiple-of-the-block"),
+        pytest.param(dict(t_steps=100), dict(dt=0.5, use_bias=True), 40, 10,
+                     id="leaky-with-bias"),
+        pytest.param(SHORT | dict(t_steps=70), {}, _EVAL_CHUNK + 1, 2,
+                     id="one-trial-last-chunk"),
+    ])
+    def test_chunked_matches_whole_dataset(self, task, model, trials, pad):
+        # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
+        # of _EVAL_CHUNK trials, batch_forward's here over all of them
+        cfg = TaskConfig(seed=35, **task)
+        ds = generate_dataset(cfg, trials)
+        mcfg = ModelConfig(n_units=8, **model)
         params = init_params(mcfg, SeededRng(36))
-        metrics = evaluate(params, mcfg, ds)
+        if mcfg.use_bias:
+            params.b_rec = SeededRng(39).gen.normal(0, 0.3, 8)
+            params.b_out = SeededRng(40).gen.normal(0, 0.3, 3)
+        metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
         npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
         mask = np.stack([clean_hold_oracle(ds.events[i], ds.y[i], cfg.pulse_width,
-                                           cfg.delay_steps, 10)
-                         for i in range(300)])
+                                           cfg.delay_steps, pad)
+                         for i in range(trials)])
+        assert mask.any()
         ok = np.all(np.sign(z) == ds.y, axis=2)
         assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_one_chunk_matches_batch_forward_bitwise(self, dt):
+        # every readout, block boundaries included, comes from a GEMM of the
+        # same shape as in batch_forward over the same trials; with
+        # batch_forward's readouts as targets, any differing bit shows as a
+        # nonzero mse
+        cfg = TaskConfig(seed=41, t_steps=3 * _EVAL_BLOCK + 5)
+        ds = generate_dataset(cfg, 50)
+        mcfg = ModelConfig(n_units=16, dt=dt)
+        params = init_params(mcfg, SeededRng(42))
+        _, z = batch_forward(params, mcfg, ds.x)
+        assert evaluate(params, mcfg, Dataset(ds.x, z, cfg, ds.events)).mse == 0.0
 
 
 class TestTrainConfig:

@@ -15,7 +15,9 @@ kept, so the workloads can be run one at a time into the same file.
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
 exits 2 before it runs anything, since a pairing of two different
-benchmarks measures no change of the program.
+benchmarks measures no change of the program. A run that exits non-zero
+stops the script with exit 1: it names the side and the pair and prints the
+last lines of the run's stderr, and ``--out`` is left as it was.
 """
 
 from __future__ import annotations
@@ -43,12 +45,15 @@ def benchmark_difference(parent: Path, change: Path) -> str | None:
                  if a.get(name) != b.get(name)), None)
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
+# lines of a failed run's stderr that the script prints
+STDERR_TAIL = 20
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float):
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        cwd=root, capture_output=True, text=True)
 
 
 def spread(values: list) -> dict:
@@ -100,7 +105,13 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            proc = run_once(sides[side], args.workload, args.seed, args.seconds)
+            if proc.returncode != 0:
+                print(f"pair {pair} {side}: perfbench/run.py exited "
+                      f"{proc.returncode}", *proc.stderr.splitlines()[-STDERR_TAIL:],
+                      sep="\n", file=sys.stderr)
+                return 1
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
             runs[side].append(result)
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
