@@ -1,9 +1,11 @@
 """Command-line front door: gen / train / eval / spectrum / project / cube /
 gradcheck / compare, wired into reproducible runs.
 
-Exit codes: 0 success, 2 usage, input or file error, 3 numerical failure. Every
-command writes a run_manifest.json listing its outputs with content hashes;
+Exit codes: 0 success, 2 usage, input or file error, 3 numerical failure.
+gen, train, spectrum, project, cube and compare write a run_manifest.json
+into their output directory, listing its outputs with content hashes;
 re-running with the same flags reproduces the hashed tensors bit-exactly.
+eval and gradcheck print their results and write no manifest.
 """
 
 from __future__ import annotations

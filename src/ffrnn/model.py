@@ -126,7 +126,7 @@ def _time_major(rows: int, batch: int, width: int, flat=None):
 
 
 def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
-                u: np.ndarray, ss: np.ndarray | None = None) -> None:
+                u: np.ndarray) -> None:
     """The recurrence over a [batch, t_steps, n_in] tensor, time-major,
     written into the first t_steps + 2 rows of the
     [rows, batch, n_out + n_units + n_in + 1] buffer ``u``, from the start
@@ -139,9 +139,10 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
     t = t_steps, over x = 0, reads out h_t_steps into row t_steps + 1, so
     the readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
     readout slot and row t_steps + 1's other slots hold no values. At alpha = 1
-    the state is tanh(a_t) itself; at alpha < 1, tanh(a_t) goes to ss[t]
-    when ss (a [t_steps, batch, n_units] view) is given. Values are not
-    checked for finiteness here.
+    the state is tanh(a_t) itself; at alpha < 1, tanh(a_t) passes through
+    [batch, n_units] scratch and is not kept, since
+    ``training.bptt_gradients`` recovers it from h_t and h_{t+1}. Values are
+    not checked for finiteness here.
     """
     batch, t_steps, _ = x.shape
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
@@ -153,7 +154,7 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
                   [np.zeros((n_in, n_out)), params.w_in.T],
                   [params.b_out, params.b_rec]])
     if alpha != 1.0:
-        scratch = np.empty((batch, n))
+        s = np.empty((batch, n))
     for t in range(t_steps):
         out = u[t + 1, :, :n_out + n]
         np.matmul(u[t, :, n_out:], w, out=out)
@@ -161,11 +162,10 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
         if alpha == 1.0:
             np.tanh(h, out=h)
         else:
-            s = scratch if ss is None else ss[t]
             np.tanh(h, out=s)
             np.multiply(u[t, :, n_out:n_out + n], 1.0 - alpha, out=h)
-            np.multiply(s, alpha, out=scratch)
-            h += scratch
+            s *= alpha
+            h += s
     np.matmul(u[t_steps, :, n_out:], w[:, :n_out], out=u[t_steps + 1, :, :n_out])
 
 

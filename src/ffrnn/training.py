@@ -26,6 +26,10 @@ LR_FLOOR = 0.3
 BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 # central-difference step and pass bound of run_gradcheck
 GRADCHECK_STEP, GRADCHECK_TOLERANCE = 1e-5, 1e-4
+# steps per block of evaluate's forward pass and of the backward sweep of
+# bptt_gradients; a block's buffer, 4.4-4.7 MB at 128 units and 128 trials,
+# is small enough to stay in cache
+_BLOCK_STEPS = 32
 
 
 class DivergenceError(RuntimeError):
@@ -113,11 +117,12 @@ def loss(z: np.ndarray, z_target: np.ndarray) -> float:
 
 def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
-    trials of ``t_steps`` steps: two flat float64 arrays, of which each call
-    uses a contiguous prefix."""
+    trials of ``t_steps`` steps: two flat float64 arrays, one for the
+    forward history and one for a block of the backward sweep, of which
+    each call uses a contiguous prefix."""
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
-            np.empty((t_steps + 1) * batch * (n_out + n)))
+            np.empty((min(t_steps, _BLOCK_STEPS) + 1) * batch * (n_out + n)))
 
 
 def bptt_gradients(params: RnnParams, config: ModelConfig,
@@ -126,21 +131,27 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
 
     Unrolls the recurrence from the zero state with the time-major kernel
     that ``batch_forward`` also runs, whose row t holds
-    [z(h_{t-1}) | h_t | x_t | 1]. A non-finite batch loss raises a
-    DivergenceError naming the first step with a non-finite activation, if
-    any. Then walks the steps backwards.
-    Row j of a [t_steps + 1, batch, n_out + n] buffer holds [err_j | d_j],
-    the readout error z(h_j) - y_{j-1} of state h_j (zero for h_0) and
-    d_j = dL/da_j (zero for j = t_steps), so each step is one GEMM,
-    [err_{t+1} | d_{t+1}] @ [scale * W_out; W_rec] with scale = 2 / size
-    the factor of the mean, plus the leak path (1 - alpha) from t+1 and the
-    gain alpha * tanh'(a_t). At alpha < 1, tanh(a_t) waits in d_t's slot
-    until d_t overwrites it. One more GEMM, [err | d]^T @ [h | x | 1], gives
-    all five gradients together: its top n_out rows, times scale, those of
-    W_out and b_out, and its other rows those of W_rec, W_in and b_rec.
-    ``work`` (from ``bptt_workspace``) supplies the buffers; without it they
-    are allocated per call. Returns (grads, batch_loss) where grads mirrors
-    RnnParams.
+    [z(h_{t-1}) | h_t | x_t | 1]. Then walks the steps backwards in blocks
+    of ``_BLOCK_STEPS``, newest block first, through a ring of
+    ``_BLOCK_STEPS + 1`` rows [err_j | d_j]: the readout error
+    z(h_j) - y_{j-1} of state h_j (zero for h_0) and d_j = dL/da_j (zero
+    for j = t_steps). A block [lo, hi) holds its rows in the ring's first
+    hi - lo rows and row hi, carried from the block after it, in the next.
+    Each step is one GEMM, [err_{t+1} | d_{t+1}] @ [scale * W_out; W_rec]
+    with scale = 2 / size the factor of the mean, plus the leak path
+    (1 - alpha) from t+1 and the gain alpha * tanh'(a_t). At alpha < 1,
+    tanh(a_t) is recovered from the states as
+    (h_{t+1} - (1 - alpha) h_t) / alpha. Once a block's d_j are done, one
+    GEMM, [err | d]^T @ [h | x | 1] over its rows (the newest block's also
+    over row t_steps), adds them to all five gradients together: its top
+    n_out rows, times scale, those of W_out and b_out, and its other rows
+    those of W_rec, W_in and b_rec.
+
+    The loss is summed block by block, before the block's steps run. A
+    non-finite loss raises a DivergenceError naming the first step with a
+    non-finite activation, if any. ``work`` (from ``bptt_workspace``)
+    supplies the buffers; without it they are allocated per call. Returns
+    (grads, batch_loss) where grads mirrors RnnParams.
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -156,45 +167,65 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     if work is None:
         work = bptt_workspace(config, t_steps, batch)
     u = _time_major(t_steps + 2, batch, n_out + n + n_in + 1, work[0])
-    eg = _time_major(t_steps + 1, batch, n_out + n, work[1])
-    sens = eg[:t_steps, :, n_out:]   # d_t, and tanh(a_t) before it at alpha < 1
+    ring = _time_major(min(t_steps, _BLOCK_STEPS) + 1, batch, n_out + n, work[1])
 
     u[0, :, n_out:n_out + n] = 0.0
-    _recurrence(params, config, batch_x, u, None if alpha == 1.0 else sens)
-    ss = u[1:t_steps + 1, :, n_out:n_out + n] if alpha == 1.0 else sens
-
-    eg[0, :, :n_out] = 0.0
-    err = eg[1:, :, :n_out]
-    np.subtract(u[2:, :, :n_out], batch_y.transpose(1, 0, 2), out=err)
-    scale = 2.0 / err.size
-    batch_loss = float(np.einsum("ijk,ijk->", err, err)) / err.size
-    # tanh is bounded, so a non-finite activation always makes the loss
-    # non-finite; only then are the steps scanned for the first bad one
-    if not np.isfinite(batch_loss):
-        finite = np.isfinite(ss).all(axis=(1, 2))
-        if not finite.all():
-            raise DivergenceError(
-                f"non-finite activations at step {int(np.argmin(finite))}")
-        raise DivergenceError("non-finite loss")
+    _recurrence(params, config, batch_x, u)
+    h = u[:, :, n_out:n_out + n]
+    y = batch_y.transpose(1, 0, 2)
+    scale = 2.0 / batch_y.size
 
     w_back = np.concatenate([scale * params.w_out, params.w_rec])
+    g = np.zeros((n_out + n, n + n_in + 1))
     dh = np.empty((batch, n))
     gain = np.empty((batch, n))
     if alpha != 1.0:
         leak = np.zeros((batch, n))
-    eg[t_steps, :, n_out:] = 0.0
-    for t in range(t_steps - 1, -1, -1):
-        np.matmul(eg[t + 1], w_back, out=dh)   # dL/dh_{t+1} minus the leak
-        np.square(ss[t], out=gain)
-        np.subtract(1.0, gain, out=gain)
-        if alpha != 1.0:
-            dh += leak
-            np.multiply(dh, 1.0 - alpha, out=leak)
-            gain *= alpha
-        np.multiply(dh, gain, out=sens[t])
+    batch_loss = 0.0
+    for lo in range((t_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, t_steps)
+        if hi == t_steps:   # the newest block also takes row t_steps, where d = 0
+            ring[hi - lo, :, n_out:] = 0.0
+            rows = hi - lo + 1
+        else:   # row hi, the oldest row of the block after this one
+            ring[hi - lo] = ring[0]
+            rows = hi - lo
+        first = max(lo, 1)   # h_0 has no target: err_0 = 0
+        err = ring[first - lo:rows, :, :n_out]
+        np.subtract(u[first + 1:lo + rows + 1, :, :n_out],
+                    y[first - 1:lo + rows - 1], out=err)
+        if lo == 0:
+            ring[0, :, :n_out] = 0.0
+        block_loss = float(np.sum(np.square(err)))   # pairwise summation
+        # tanh is bounded, so a non-finite activation always makes the loss
+        # non-finite; only then are the steps scanned for the first bad one
+        if not np.isfinite(block_loss):
+            finite = np.isfinite(h[1:t_steps + 1]).all(axis=(1, 2))
+            if not finite.all():
+                raise DivergenceError(
+                    f"non-finite activations at step {int(np.argmin(finite))}")
+            raise DivergenceError("non-finite loss")
+        batch_loss += block_loss
 
-    rows = (t_steps + 1) * batch
-    g = eg.reshape(rows, -1).T @ u[:t_steps + 1, :, n_out:].reshape(rows, -1)
+        for t in range(hi - 1, lo - 1, -1):
+            np.matmul(ring[t - lo + 1], w_back, out=dh)   # dL/dh_{t+1} minus the leak
+            if alpha == 1.0:
+                np.square(h[t + 1], out=gain)
+            else:
+                np.multiply(h[t], 1.0 - alpha, out=gain)
+                np.subtract(h[t + 1], gain, out=gain)
+                gain /= alpha   # tanh(a_t)
+                np.square(gain, out=gain)
+            np.subtract(1.0, gain, out=gain)
+            if alpha != 1.0:
+                dh += leak
+                np.multiply(dh, 1.0 - alpha, out=leak)
+                gain *= alpha
+            np.multiply(dh, gain, out=ring[t - lo, :, n_out:])
+        g += (ring[:rows].reshape(rows * batch, -1).T
+              @ u[lo:lo + rows, :, n_out:].reshape(rows * batch, -1))
+    batch_loss /= batch_y.size
+
     g_w_out = g[:n_out, :n] * scale
     g_w_rec, g_w_in = g[n_out:, :n].copy(), g[n_out:, n:-1].copy()
     if config.use_bias:
@@ -316,10 +347,8 @@ def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     return mask
 
 
-# trials per forward pass in evaluate, and steps per block of that pass;
-# the block buffer, about 4.7 MB at 128 units, is small enough to stay in cache
+# trials per forward pass in evaluate
 _EVAL_CHUNK = 128
-_EVAL_BLOCK = 32
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -332,8 +361,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     target on all channels; it is NaN when no step is a clean hold.
 
     The forward pass runs ``_EVAL_CHUNK`` trials at a time, each chunk in
-    blocks of ``_EVAL_BLOCK`` steps through one
-    [_EVAL_BLOCK + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
+    blocks of ``_BLOCK_STEPS`` steps through one
+    [_BLOCK_STEPS + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
     starts each block from the state in row 0, and the block's last state
     goes there for the next one. Only the chunk's readouts are kept, so
     memory does not grow with the number of trials or of steps. The readout
@@ -356,17 +385,17 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     n, n_out = model_cfg.n_units, model_cfg.n_out
     width = n_out + n + model_cfg.n_in + 1
     chunk = min(_EVAL_CHUNK, trials)
-    flat = np.empty((_EVAL_BLOCK + 2) * chunk * width)
+    flat = np.empty((_BLOCK_STEPS + 2) * chunk * width)
     z_chunk = np.empty((chunk, t_steps, n_out))
     squared, matched, considered = 0.0, 0, 0
     for lo in range(0, trials, _EVAL_CHUNK):
         xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
         batch = xs.shape[0]
         z = z_chunk[:batch]
-        u = _time_major(_EVAL_BLOCK + 2, batch, width, flat)
+        u = _time_major(_BLOCK_STEPS + 2, batch, width, flat)
         u[0, :, n_out:n_out + n] = 0.0
-        for t in range(0, t_steps, _EVAL_BLOCK):
-            k = min(_EVAL_BLOCK, t_steps - t)
+        for t in range(0, t_steps, _BLOCK_STEPS):
+            k = min(_BLOCK_STEPS, t_steps - t)
             _recurrence(params, model_cfg, xs[:, t:t + k], u)
             if t:   # the previous block's last readout, from the step GEMM
                 z[:, t - 1] = u[1, :, :n_out]

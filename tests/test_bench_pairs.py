@@ -12,13 +12,13 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def make_root(path, harness="WORKLOADS = 3\n"):
+def make_root(path, harness="WORKLOADS = 3\n",
+              run="raise SystemExit('no such workload here')\n"):
     """A checkout holding only a benchmark; its run.py fails if it is run,
-    with a message on stderr."""
+    with a message on stderr, unless ``run`` replaces it."""
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
-    (path / "perfbench" / "run.py").write_text(
-        "raise SystemExit('no such workload here')\n")
+    (path / "perfbench" / "run.py").write_text(run)
     (path / "perfbench" / "harness.py").write_text(harness)
     return path
 
@@ -61,3 +61,21 @@ def test_failed_run_exits_1_with_its_stderr(tmp_path, capsys):
     assert "pair 0 parent: perfbench/run.py exited 1" in err
     assert "no such workload here" in err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2)])
+def test_incorrect_run_exits_1_and_keeps_out(tmp_path, capsys, correct, failed):
+    # run.py exits 0 here, but its result line reports a failed check
+    run = ("import json, sys\n"
+           "print('check failed: readouts differ', file=sys.stderr)\n"
+           f"print(json.dumps({{'correct': {correct}, 'failed': {failed}, "
+           "'metrics': {}}))\n")
+    parent = make_root(tmp_path / "a", run=run)
+    change = make_root(tmp_path / "b", run=run)
+    (tmp_path / "o.json").write_text("{}\n")
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert (f'pair 0 parent: perfbench/run.py reported "correct": '
+            f'{str(correct).lower()}, "failed": {failed}') in err
+    assert "check failed: readouts differ" in err
+    assert (tmp_path / "o.json").read_text() == "{}\n"

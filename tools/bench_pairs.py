@@ -15,9 +15,11 @@ kept, so the workloads can be run one at a time into the same file.
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
 exits 2 before it runs anything, since a pairing of two different
-benchmarks measures no change of the program. A run that exits non-zero
-stops the script with exit 1: it names the side and the pair and prints the
-last lines of the run's stderr, and ``--out`` is left as it was.
+benchmarks measures no change of the program. A run that exits non-zero,
+or whose result line reports ``"correct": false`` or failed operations,
+stops the script with exit 1: it names the side and the pair and prints
+the last lines of the run's stderr, and ``--out`` is left as it was. So
+every run summarised in ``--out`` was correct.
 """
 
 from __future__ import annotations
@@ -107,11 +109,17 @@ def main(argv=None) -> int:
         for side in order:
             proc = run_once(sides[side], args.workload, args.seed, args.seconds)
             if proc.returncode != 0:
-                print(f"pair {pair} {side}: perfbench/run.py exited "
-                      f"{proc.returncode}", *proc.stderr.splitlines()[-STDERR_TAIL:],
+                failure = f"perfbench/run.py exited {proc.returncode}"
+            else:
+                result = json.loads(proc.stdout.strip().splitlines()[-1])
+                failure = (None if result["correct"] and not result["failed"] else
+                           'perfbench/run.py reported "correct": '
+                           f'{json.dumps(result["correct"])}, "failed": {result["failed"]}')
+            if failure is not None:
+                print(f"pair {pair} {side}: {failure}",
+                      *proc.stderr.splitlines()[-STDERR_TAIL:],
                       sep="\n", file=sys.stderr)
                 return 1
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
             runs[side].append(result)
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
@@ -121,8 +129,6 @@ def main(argv=None) -> int:
     report.setdefault("workloads", {})[args.workload] = {
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "first_in_pair": "parent on even pairs, change on odd pairs",
-        "all_correct": all(r["correct"] for side in runs.values() for r in side),
-        "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "metrics": summarise(runs, bench["end_to_end"]),
         "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                  for side, rs in runs.items()},
