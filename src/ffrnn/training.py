@@ -10,6 +10,8 @@ while the learning rate stays independent of sequence length.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -118,11 +120,86 @@ def loss(z: np.ndarray, z_target: np.ndarray) -> float:
 def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
     trials of ``t_steps`` steps: two flat float64 arrays, one for the
-    forward history and one for a block of the backward sweep, of which
-    each call uses a contiguous prefix."""
+    forward history and one for a block of the backward sweep. A call on
+    b trials uses the prefix that b trials fill; when it splits the batch
+    into shards, each shard takes its own consecutive part of that prefix,
+    laid out as a fresh buffer for its trials would be."""
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
             np.empty((min(t_steps, _BLOCK_STEPS) + 1) * batch * (n_out + n)))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads per BLAS call: the first of these variables that is set to a
+    positive integer, else every usable core, as BLAS itself decides."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _usable_cores()
+
+
+# fewest state entries (trials x units) per step in a shard of
+# bptt_gradients. Smaller shards lose more to the per-step costs that every
+# shard repeats than the second core gains: at one BLAS thread on 2 cores
+# and 300 steps, two shards ran at 0.73-0.87x the whole batch's speed at
+# 2,048 entries (16 trials x 128 units, 32 x 64, 64 x 32), and at
+# 1.08-1.30x at 4,096 (64 x 64, 32 x 128) but 0.96x at 128 x 32.
+_MIN_SHARD_STATES = 4096
+# shards that bptt_gradients runs at once, at most, the calling thread's
+# included. BLAS reads its thread count once at start-up, so this is read
+# once at import too. Below 2 every batch runs whole: one core per BLAS call
+# leaves no core idle.
+_SHARD_WORKERS = _usable_cores() // _blas_threads()
+# Runs every shard but the first, which the calling thread runs itself. It
+# is made, and concurrent.futures imported, on the first batch that is cut
+# into shards (_shard_pool). Workers call only private functions
+# (_bptt_shard and model._recurrence): the benchmark's tracer wraps the
+# public ones and keeps a single stack of open spans, which calls from two
+# threads at once would interleave.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _shard_pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(max_workers=_SHARD_WORKERS - 1,
+                                       thread_name_prefix="ffrnn-bptt")
+        return _POOL
+
+
+def _shard_bounds(batch: int, n_units: int) -> list:
+    """[lo, hi) trial ranges of the shards of a batch: as many contiguous
+    ranges of near-equal size as there are workers, fewer where a range
+    would hold fewer than _MIN_SHARD_STATES state entries; with one, the
+    whole batch."""
+    shards = min(_SHARD_WORKERS, batch * n_units // _MIN_SHARD_STATES)
+    if shards < 2:
+        return [(0, batch)]
+    parts = np.array_split(np.arange(batch), shards)
+    return [(int(p[0]), int(p[-1]) + 1) for p in parts]
+
+
+def _divergence(states: list) -> DivergenceError:
+    """The error for a non-finite loss over shards whose [t_steps, trials, n]
+    states are ``states``: it names the first step at which any shard has a
+    non-finite state, if there is one."""
+    finite = np.all([np.isfinite(h).all(axis=(1, 2)) for h in states], axis=0)
+    if not finite.all():
+        return DivergenceError(f"non-finite activations at step {int(np.argmin(finite))}")
+    return DivergenceError("non-finite loss")
 
 
 def bptt_gradients(params: RnnParams, config: ModelConfig,
@@ -145,13 +222,25 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     GEMM, [err | d]^T @ [h | x | 1] over its rows (the newest block's also
     over row t_steps), adds them to all five gradients together: its top
     n_out rows, times scale, those of W_out and b_out, and its other rows
-    those of W_rec, W_in and b_rec.
+    those of W_rec, W_in and b_rec (``_bptt_shard``).
+
+    When BLAS runs fewer threads per call than there are usable cores
+    (``_SHARD_WORKERS`` >= 2), the batch is cut into up to
+    ``_SHARD_WORKERS`` contiguous shards of near-equal size, each of at
+    least ``_MIN_SHARD_STATES`` trials x units (``_shard_bounds``). They run
+    this sweep at once, the first on the calling thread and the others on a
+    pool, each on its own part of the buffers. Every shard scales by the
+    whole batch's size, so the gradients and the squared-error sums are
+    added up in shard order, and the result depends only on the batch and
+    the shard count, never on how the threads were scheduled. Otherwise the
+    batch runs whole.
 
     The loss is summed block by block, before the block's steps run. A
     non-finite loss raises a DivergenceError naming the first step with a
-    non-finite activation, if any. ``work`` (from ``bptt_workspace``)
-    supplies the buffers; without it they are allocated per call. Returns
-    (grads, batch_loss) where grads mirrors RnnParams.
+    non-finite activation in any shard, if any; the call waits for every
+    shard first. ``work`` (from ``bptt_workspace``) supplies the buffers;
+    without it they are allocated per call. Returns (grads, batch_loss)
+    where grads mirrors RnnParams.
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -163,17 +252,63 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     if batch == 0 or t_steps == 0:
         raise ValueError(f"no gradients over an empty batch or sequence: {batch_x.shape}")
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
-    alpha = config.alpha
     if work is None:
         work = bptt_workspace(config, t_steps, batch)
-    u = _time_major(t_steps + 2, batch, n_out + n + n_in + 1, work[0])
-    ring = _time_major(min(t_steps, _BLOCK_STEPS) + 1, batch, n_out + n, work[1])
+    scale = 2.0 / batch_y.size
 
+    shards, u_at, ring_at = [], 0, 0
+    for lo, hi in _shard_bounds(batch, n):
+        u = _time_major(t_steps + 2, hi - lo, n_out + n + n_in + 1, work[0][u_at:])
+        ring = _time_major(min(t_steps, _BLOCK_STEPS) + 1, hi - lo, n_out + n,
+                           work[1][ring_at:])
+        u_at, ring_at = u_at + u.size, ring_at + ring.size
+        shards.append((batch_x[lo:hi], batch_y[lo:hi], u, ring))
+    futures = [_shard_pool().submit(_bptt_shard, params, config, scale, *shard)
+               for shard in shards[1:]]
+    try:
+        results = [_bptt_shard(params, config, scale, *shards[0])]
+    finally:   # no worker may still write into the buffers once this returns
+        for future in futures:
+            future.exception()
+    results += [f.result() for f in futures]
+
+    if any(g is None for g, _ in results):
+        raise _divergence([u[1:t_steps + 1, :, n_out:n_out + n]
+                           for _, _, u, _ in shards])
+    g, squared = results[0]
+    for g_shard, squared_shard in results[1:]:
+        g += g_shard
+        squared += squared_shard
+    batch_loss = squared / batch_y.size
+
+    g_w_out = g[:n_out, :n] * scale
+    g_w_rec, g_w_in = g[n_out:, :n].copy(), g[n_out:, n:-1].copy()
+    if config.use_bias:
+        g_b_rec, g_b_out = g[n_out:, -1].copy(), g[:n_out, -1] * scale
+    else:
+        g_b_rec, g_b_out = np.zeros(n), np.zeros(n_out)
+    return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
+
+
+def _bptt_shard(params: RnnParams, config: ModelConfig, scale: float,
+                batch_x: np.ndarray, batch_y: np.ndarray, u: np.ndarray,
+                ring: np.ndarray):
+    """The forward pass and the blocked backward sweep of ``bptt_gradients``
+    over the trials of one shard, in its [t_steps + 2, trials, ...] history
+    ``u`` and its [min(t_steps, _BLOCK_STEPS) + 1, trials, n_out + n] ring.
+
+    Returns (g, squared): the [n_out + n, n + n_in + 1] sum of the blocks'
+    [err | d]^T @ [h | x | 1] GEMMs, and the sum of the blocks' squared
+    readout errors. Once a block's sum is not finite, the sweep stops before
+    that block's steps and returns (None, that sum).
+    """
+    batch, t_steps, _ = batch_x.shape
+    n, n_in, n_out = config.n_units, config.n_in, config.n_out
+    alpha = config.alpha
     u[0, :, n_out:n_out + n] = 0.0
     _recurrence(params, config, batch_x, u)
     h = u[:, :, n_out:n_out + n]
     y = batch_y.transpose(1, 0, 2)
-    scale = 2.0 / batch_y.size
 
     w_back = np.concatenate([scale * params.w_out, params.w_rec])
     g = np.zeros((n_out + n, n + n_in + 1))
@@ -181,7 +316,7 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     gain = np.empty((batch, n))
     if alpha != 1.0:
         leak = np.zeros((batch, n))
-    batch_loss = 0.0
+    squared = 0.0
     for lo in range((t_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, t_steps)
         if hi == t_steps:   # the newest block also takes row t_steps, where d = 0
@@ -198,14 +333,11 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
             ring[0, :, :n_out] = 0.0
         block_loss = float(np.sum(np.square(err)))   # pairwise summation
         # tanh is bounded, so a non-finite activation always makes the loss
-        # non-finite; only then are the steps scanned for the first bad one
+        # non-finite; only then does the caller scan the steps for the
+        # first bad one
         if not np.isfinite(block_loss):
-            finite = np.isfinite(h[1:t_steps + 1]).all(axis=(1, 2))
-            if not finite.all():
-                raise DivergenceError(
-                    f"non-finite activations at step {int(np.argmin(finite))}")
-            raise DivergenceError("non-finite loss")
-        batch_loss += block_loss
+            return None, block_loss
+        squared += block_loss
 
         for t in range(hi - 1, lo - 1, -1):
             np.matmul(ring[t - lo + 1], w_back, out=dh)   # dL/dh_{t+1} minus the leak
@@ -224,15 +356,7 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
             np.multiply(dh, gain, out=ring[t - lo, :, n_out:])
         g += (ring[:rows].reshape(rows * batch, -1).T
               @ u[lo:lo + rows, :, n_out:].reshape(rows * batch, -1))
-    batch_loss /= batch_y.size
-
-    g_w_out = g[:n_out, :n] * scale
-    g_w_rec, g_w_in = g[n_out:, :n].copy(), g[n_out:, n:-1].copy()
-    if config.use_bias:
-        g_b_rec, g_b_out = g[n_out:, -1].copy(), g[:n_out, -1] * scale
-    else:
-        g_b_rec, g_b_out = np.zeros(n), np.zeros(n_out)
-    return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
+    return g, squared
 
 
 def init_adam_state(params: RnnParams) -> AdamState:
@@ -274,7 +398,16 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     used for the report's final metrics. Update k of the run uses the
     learning rate ``train_cfg.learning_rate_at(k, total_updates)``. Every
     epoch is shuffled by a stream derived from (seed, epoch), so runs are
-    bit-reproducible.
+    bit-reproducible on the same machine and thread setting.
+
+    Every batch's gradients come from one set of ``bptt_workspace``
+    buffers, sized for the largest batch and freed before the held-out
+    ``evaluate``. ``bptt_gradients`` splits a batch into as many shards as
+    usable cores // BLAS threads per call (read at import), fewer for small
+    batches, and the shard count changes the trained values at the ulp
+    level. So a run repeats bit for bit only with the same BLAS thread
+    setting and the same number of usable cores (``os.sched_getaffinity``,
+    which ``taskset`` also changes).
     ``epoch_hook(epoch, params, epoch_loss)`` is invoked after every epoch
     when given.
     """

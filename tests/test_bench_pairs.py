@@ -1,6 +1,9 @@
-"""tools/bench_pairs.py pairs only checkouts that hold the same benchmark."""
+"""tools/bench_pairs.py pairs only checkouts that hold the same benchmark,
+and records the machine it ran on."""
 
 import importlib.util
+import json
+import os
 import pathlib
 
 import pytest
@@ -79,3 +82,37 @@ def test_incorrect_run_exits_1_and_keeps_out(tmp_path, capsys, correct, failed):
             f'{str(correct).lower()}, "failed": {failed}') in err
     assert "check failed: readouts differ" in err
     assert (tmp_path / "o.json").read_text() == "{}\n"
+
+
+def test_out_records_cores_and_load_and_keeps_other_workloads(tmp_path):
+    run = ("import json\n"
+           "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    parent = make_root(tmp_path / "a", run=run)
+    change = make_root(tmp_path / "b", run=run)
+    (tmp_path / "o.json").write_text('{"workloads": {"cli-analyse": {}}}\n')
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 0
+    report = json.loads((tmp_path / "o.json").read_text())
+    assert report["workloads"]["cli-analyse"] == {}
+    entry = report["workloads"]["train-128"]
+    assert entry["usable_cores"] == len(os.sched_getaffinity(0))
+    for side in ("parent", "change"):
+        assert len(entry["runs"][side]) == 2
+        assert len(entry["load_average"][side]) == 2
+        for load in entry["load_average"][side]:
+            assert sorted(load) == ["after", "before"]
+            assert all(len(v) == 3 and min(v) >= 0 for v in load.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "o.json"]
+
+
+def test_failed_write_keeps_out(tmp_path, monkeypatch):
+    out = tmp_path / "o.json"
+    out.write_text("{}\n")
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bench_pairs.os, "replace", no_replace)
+    with pytest.raises(OSError, match="disk full"):
+        bench_pairs.write_atomically(out, '{"new": 1}\n')
+    assert out.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["o.json"]

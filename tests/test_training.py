@@ -1,5 +1,11 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -323,6 +329,214 @@ def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, se
         assert np.max(np.abs(z[b] - zs)) <= 1e-12 * np.max(np.abs(zs))
 
 
+@pytest.fixture
+def sharded(monkeypatch):
+    """bptt_gradients cuts every batch of two trials or more into two
+    shards, whatever the BLAS thread count of the run and however few units
+    the network has."""
+    monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+    monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+
+
+class SerialPool:
+    """Runs each submitted shard at once, on the calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def random_problem(n, batch, t_steps, dt=1.0, use_bias=True, seed=60):
+    cfg = ModelConfig(n_units=n, dt=dt, use_bias=use_bias)
+    rng = SeededRng(seed)
+    params = init_params(cfg, rng)
+    params.b_rec = rng.gen.normal(0, 0.1, n)
+    params.b_out = rng.gen.normal(0, 0.1, 3)
+    x = rng.gen.normal(size=(batch, t_steps, 3))
+    y = rng.gen.uniform(-1, 1, (batch, t_steps, 3))
+    return params, cfg, x, y
+
+
+def assert_same_results(actual, expected):
+    (grads, batch_loss), (grads_0, loss_0) = actual, expected
+    assert batch_loss == loss_0
+    for key, g in grads.as_dict().items():
+        npt.assert_array_equal(g, grads_0.as_dict()[key], err_msg=key)
+
+
+def divergence_message(params, cfg, x, y):
+    with pytest.raises(DivergenceError) as info:
+        bptt_gradients(params, cfg, x, y)
+    return str(info.value)
+
+
+class TestShardedBptt:
+    @pytest.mark.parametrize("threads, expected", [
+        ({}, 5), ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "4"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, 3),
+        ({"OMP_NUM_THREADS": "4,2"}, 5),
+    ])
+    def test_blas_threads(self, monkeypatch, threads, expected):
+        # the first variable set to a positive integer, else every usable core
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in threads.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(training, "_usable_cores", lambda: 5)
+        assert training._blas_threads() == expected
+
+    @pytest.mark.parametrize("batch, n, workers, bounds", [
+        (128, 64, 2, [(0, 64), (64, 128)]),
+        (256, 64, 2, [(0, 128), (128, 256)]),   # never more shards than workers
+        (65, 128, 2, [(0, 33), (33, 65)]),
+        (200, 128, 4, [(0, 50), (50, 100), (100, 150), (150, 200)]),
+        (100, 128, 3, [(0, 34), (34, 67), (67, 100)]),
+        (96, 128, 4, [(0, 32), (32, 64), (64, 96)]),   # 32 x 128 = 4096 each
+        (127, 64, 2, [(0, 127)]),   # two shards would hold fewer than 4096
+        (128, 32, 2, [(0, 128)]),
+    ])
+    def test_shard_bounds(self, monkeypatch, batch, n, workers, bounds):
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        assert training._MIN_SHARD_STATES == 4096
+        assert training._shard_bounds(batch, n) == bounds
+
+    def test_one_worker_runs_the_batch_whole(self, monkeypatch):
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        assert training._shard_bounds(1000, 128) == [(0, 1000)]
+
+    @pytest.mark.parametrize("threads", ["1", ""])
+    def test_pool_made_on_first_sharded_batch(self, threads):
+        # importing the module starts no thread pool and loads no
+        # concurrent.futures, even where batches will be sharded
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["OMP_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(training.__file__)),
+             env.get("PYTHONPATH", "")])
+        code = ("import sys\n"
+                "from ffrnn import training\n"
+                "print(training._POOL, 'concurrent.futures' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["None", "False"]
+
+    def test_pool_sized_for_the_workers(self, sharded, monkeypatch):
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 3)
+        monkeypatch.setattr(training, "_POOL", None)
+        params, cfg, x, y = random_problem(4, 9, 5)
+        bptt_gradients(params, cfg, x, y)
+        pool = training._POOL
+        try:
+            assert pool._max_workers == 2
+            bptt_gradients(params, cfg, x, y)
+            assert training._POOL is pool
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("batch", [65, 128, 129, 200])
+    @pytest.mark.parametrize("dt", [1.0, 0.5, 0.01])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_matches_oracle(self, sharded, batch, dt, use_bias):
+        params, cfg, x, y = random_problem(5, batch, _BLOCK_STEPS + 5, dt, use_bias)
+        assert len(training._shard_bounds(batch, cfg.n_units)) == 2
+        assert_matches_oracle(params, cfg, x, y)
+
+    def test_concurrent_equals_serial(self, monkeypatch):
+        # 4 shards on 3 workers plus the caller, more threads than cores,
+        # switching threads as often as the interpreter allows: the result
+        # is the serial one bit for bit, every time
+        params, cfg, x, y = random_problem(6, 200, 2 * _BLOCK_STEPS + 3, dt=0.5)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 4)
+        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+        monkeypatch.setattr(training, "_POOL", SerialPool())
+        expected = bptt_gradients(params, cfg, x, y)
+        pool = ThreadPoolExecutor(max_workers=3)
+        monkeypatch.setattr(training, "_POOL", pool)
+        results = []
+
+        def stress():
+            work = bptt_workspace(cfg, x.shape[1], 200)
+            for _ in range(20):
+                results.append(bptt_gradients(params, cfg, x, y, work=work))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=stress)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=not runner.is_alive())
+        assert not runner.is_alive()
+        assert len(results) == 20
+        for result in results:
+            assert_same_results(result, expected)
+
+    @pytest.mark.parametrize("batch", [129, 130])
+    def test_nan_workspace_matches_fresh_buffers(self, sharded, batch):
+        params, cfg, x, y = random_problem(7, batch, _BLOCK_STEPS + 9, dt=0.5)
+        work = bptt_workspace(cfg, x.shape[1], 130)
+        for buf in work:
+            buf.fill(np.nan)
+        expected = bptt_gradients(params, cfg, x, y)
+        for _ in range(2):
+            assert_same_results(bptt_gradients(params, cfg, x, y, work=work), expected)
+
+    @pytest.mark.parametrize("bad_steps, message", [
+        ([(100, 40)], "non-finite activations at step 40"),
+        ([(10, 50), (90, 20)], "non-finite activations at step 20"),
+        ([(10, 20), (90, 50)], "non-finite activations at step 20"),
+        ([], "non-finite loss"),
+    ])
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_divergence_matches_whole_batch(self, monkeypatch, bad_steps, message, dt):
+        # bad inputs in the second shard only or in both, or else a bad
+        # target in the second shard only: the message is that of the
+        # batch run whole
+        params, cfg, x, y = random_problem(4, 128, 2 * _BLOCK_STEPS + 3, dt=dt)
+        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+        for trial, t in bad_steps:
+            x[trial, t, 1] = np.nan
+        if not bad_steps:
+            y[100, 5, 2] = np.inf
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        whole = divergence_message(params, cfg, x, y)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        assert divergence_message(params, cfg, x, y) == whole == message
+
+    def test_whole_batch_is_one_shard_call(self, monkeypatch):
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        params, cfg, x, y = random_problem(8, 128, _BLOCK_STEPS + 4, dt=0.5)
+        grads, batch_loss = bptt_gradients(params, cfg, x, y)
+        n = cfg.n_units
+        u = np.empty((x.shape[1] + 2, 128, 3 + n + 3 + 1))
+        ring = np.empty((_BLOCK_STEPS + 1, 128, 3 + n))
+        g, squared = training._bptt_shard(params, cfg, 2.0 / y.size, x, y, u, ring)
+        assert batch_loss == squared / y.size
+        npt.assert_array_equal(grads.w_rec, g[3:, :n])
+        npt.assert_array_equal(grads.w_in, g[3:, n:-1])
+        npt.assert_array_equal(grads.b_rec, g[3:, -1])
+        npt.assert_array_equal(grads.w_out, g[:3, :n] * (2.0 / y.size))
+        npt.assert_array_equal(grads.b_out, g[:3, -1] * (2.0 / y.size))
+
+    @pytest.mark.parametrize("dt", [1.0, 0.01])
+    def test_agrees_with_whole_batch_at_128_units(self, monkeypatch, dt):
+        # the recipe's size: only the summation order of the weight-gradient
+        # GEMMs and of the loss differs
+        params, cfg, x, y = random_problem(128, 128, 300, dt=dt)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        whole, whole_loss = bptt_gradients(params, cfg, x, y)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        grads, batch_loss = bptt_gradients(params, cfg, x, y)
+        npt.assert_allclose(batch_loss, whole_loss, rtol=1e-15)
+        for key, g in grads.as_dict().items():
+            scale = np.max(np.abs(whole.as_dict()[key]))
+            assert np.max(np.abs(g - whole.as_dict()[key])) <= 1e-15 * scale, key
+
+
 class TestAdamUpdate:
     def setup_method(self):
         self.lr = TrainConfig().learning_rate
@@ -412,7 +626,14 @@ class TestTrain:
         trained, report = train(params, mcfg, ds, cfg)
         for k, v in params.as_dict().items():
             npt.assert_array_equal(trained.as_dict()[k], v)
-        assert len(set(report.loss_per_epoch)) == 1
+        # each epoch groups the same 11 training trials into other batches,
+        # so its mean of batch means rounds on its own; it stays a few ulp
+        # from the exactly rounded mean of the untrained squared errors
+        _, z = batch_forward(params, mcfg, ds.x[:11])
+        squared = ((z - ds.y[:11]) ** 2).ravel()
+        mean = math.fsum(squared) / squared.size
+        for epoch_loss in report.loss_per_epoch:
+            assert abs(epoch_loss - mean) <= 4 * math.ulp(mean), epoch_loss
 
     def test_zero_epochs(self):
         ds = tiny_dataset()

@@ -20,12 +20,20 @@ or whose result line reports ``"correct": false`` or failed operations,
 stops the script with exit 1: it names the side and the pair and prints
 the last lines of the run's stderr, and ``--out`` is left as it was. So
 every run summarised in ``--out`` was correct.
+
+A gain from running work on more cores than one needs those cores free, so
+the output also records the cores this process may run on and the 1-, 5-
+and 15-minute load averages just before and just after each run. ``--out``
+is replaced whole, through a temporary file beside it, so an interrupted
+write never leaves it half written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -56,6 +64,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
+
+
+def write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through ``<path>.tmp<pid>``; on any
+    error the temporary file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def spread(values: list) -> dict:
@@ -104,10 +125,13 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    load = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
+            before = os.getloadavg()
             proc = run_once(sides[side], args.workload, args.seed, args.seconds)
+            load[side].append({"before": before, "after": os.getloadavg()})
             if proc.returncode != 0:
                 failure = f"perfbench/run.py exited {proc.returncode}"
             else:
@@ -129,11 +153,13 @@ def main(argv=None) -> int:
     report.setdefault("workloads", {})[args.workload] = {
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "first_in_pair": "parent on even pairs, change on odd pairs",
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "load_average": load,
         "metrics": summarise(runs, bench["end_to_end"]),
         "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                  for side, rs in runs.items()},
     }
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_atomically(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
