@@ -15,10 +15,12 @@ The recurrence runs time-major in one
 [z(h_{t-1}) | h_t | x_t | 1], so each step is a single GEMM with the step
 matrix [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]], which gives the
 readout of h_t and the pre-activation a_t together, followed by tanh
-(``_recurrence``). It starts from the state its caller leaves in row 0:
-``batch_forward`` and ``training.bptt_gradients`` zero it, and
-``training.evaluate`` carries the last state of one block of steps into the
-next.
+(``_recurrence``). The caller builds the step matrix once per call
+(``_step_matrix``) and leaves the start state in row 0: ``batch_forward``
+and ``training.bptt_gradients`` zero it, and ``training.evaluate`` carries
+the last state of one block of steps into the next. ``bptt_gradients`` and
+``evaluate`` run the recurrence on several shards of trials at once, each in
+its own part of one buffer.
 """
 
 from __future__ import annotations
@@ -125,7 +127,16 @@ def _time_major(rows: int, batch: int, width: int, flat=None):
     return flat[:size].reshape(shape)
 
 
-def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
+def _step_matrix(params: RnnParams) -> np.ndarray:
+    """The C-ordered [n + n_in + 1, n_out + n] step matrix
+    [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]] of ``_recurrence``."""
+    n_in, n_out = params.w_in.shape[1], params.w_out.shape[0]
+    return np.block([[params.w_out.T, params.w_rec.T],
+                     [np.zeros((n_in, n_out)), params.w_in.T],
+                     [params.b_out, params.b_rec]])
+
+
+def _recurrence(w: np.ndarray, config: ModelConfig, x: np.ndarray,
                 u: np.ndarray) -> None:
     """The recurrence over a [batch, t_steps, n_in] tensor, time-major,
     written into the first t_steps + 2 rows of the
@@ -134,8 +145,9 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
 
     Row t of u holds [z(h_{t-1}) | h_t | x_t | 1]: h_{t+1} is the state
     after step t, and z(h) = W_out h + b_out. Step t is one GEMM,
-    [h_t | x_t | 1] @ [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]],
-    into [z(h_t) | a_t] of row t + 1, then tanh in place. One more step at
+    [h_t | x_t | 1] @ w, with w = [[W_out^T, W_rec^T]; [0, W_in^T];
+    [b_out, b_rec]] the step matrix from ``_step_matrix``, into
+    [z(h_t) | a_t] of row t + 1, then tanh in place. One more step at
     t = t_steps, over x = 0, reads out h_t_steps into row t_steps + 1, so
     the readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
     readout slot and row t_steps + 1's other slots hold no values. At alpha = 1
@@ -145,14 +157,11 @@ def _recurrence(params: RnnParams, config: ModelConfig, x: np.ndarray,
     not checked for finiteness here.
     """
     batch, t_steps, _ = x.shape
-    n, n_in, n_out = config.n_units, config.n_in, config.n_out
+    n, n_out = config.n_units, config.n_out
     alpha = config.alpha
     u[:t_steps, :, n_out + n:-1] = x.transpose(1, 0, 2)
     u[t_steps, :, n_out + n:-1] = 0.0
     u[:t_steps + 1, :, -1] = 1.0
-    w = np.block([[params.w_out.T, params.w_rec.T],
-                  [np.zeros((n_in, n_out)), params.w_in.T],
-                  [params.b_out, params.b_rec]])
     if alpha != 1.0:
         s = np.empty((batch, n))
     for t in range(t_steps):
@@ -185,7 +194,7 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
     n, n_out = config.n_units, config.n_out
     u = _time_major(t_steps + 2, batch, n_out + n + config.n_in + 1)
     u[0, :, n_out:n_out + n] = 0.0
-    _recurrence(params, config, x, u)
+    _recurrence(_step_matrix(params), config, x, u)
     h = u[1:t_steps + 1, :, n_out:n_out + n].transpose(1, 0, 2)
     z = u[2:, :, :n_out].transpose(1, 0, 2).copy()
     return h, z

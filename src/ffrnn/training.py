@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import SeededRng
 from .model import (ModelConfig, RnnParams, _forward_input, _recurrence,
-                    _time_major, batch_forward)
+                    _step_matrix, _time_major, batch_forward)
 from .task import Dataset, Trial
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
@@ -149,23 +149,26 @@ def _blas_threads() -> int:
 
 
 # fewest state entries (trials x units) per step in a shard of
-# bptt_gradients. Smaller shards lose more to the per-step costs that every
-# shard repeats than the second core gains: at one BLAS thread on 2 cores
-# and 300 steps, two shards ran at 0.73-0.87x the whole batch's speed at
-# 2,048 entries (16 trials x 128 units, 32 x 64, 64 x 32), and at
-# 1.08-1.30x at 4,096 (64 x 64, 32 x 128) but 0.96x at 128 x 32.
+# bptt_gradients or of a chunk of evaluate. Smaller shards lose more to the
+# per-step costs that every shard repeats than the second core gains: at
+# one BLAS thread on 2 cores and 300 steps, two shards of bptt_gradients ran
+# at 0.73-0.87x the whole batch's speed at 2,048 entries (16 trials x 128
+# units, 32 x 64, 64 x 32), and at 1.08-1.30x at 4,096 (64 x 64, 32 x 128)
+# but 0.96x at 128 x 32.
 _MIN_SHARD_STATES = 4096
-# shards that bptt_gradients runs at once, at most, the calling thread's
-# included. BLAS reads its thread count once at start-up, so this is read
-# once at import too. Below 2 every batch runs whole: one core per BLAS call
-# leaves no core idle.
-_SHARD_WORKERS = _usable_cores() // _blas_threads()
-# Runs every shard but the first, which the calling thread runs itself. It
-# is made, and concurrent.futures imported, on the first batch that is cut
-# into shards (_shard_pool). Workers call only private functions
-# (_bptt_shard and model._recurrence): the benchmark's tracer wraps the
-# public ones and keeps a single stack of open spans, which calls from two
-# threads at once would interleave.
+# threads per BLAS call, and the shards that bptt_gradients and evaluate
+# run at once, at most, the calling thread's included. BLAS reads its
+# thread count once at start-up, so these are read once at import too.
+# Below 2 every batch runs whole: one core per BLAS call leaves no core
+# idle.
+_BLAS_THREADS = _blas_threads()
+_SHARD_WORKERS = _usable_cores() // _BLAS_THREADS
+# Runs every shard but the first, which the calling thread runs itself
+# (_run_shards). It is made, and concurrent.futures imported, on the first
+# batch or chunk that is cut into shards (_shard_pool). Workers call only
+# private functions (_bptt_shard, _eval_shard and model._recurrence): the
+# benchmark's tracer wraps the public ones and keeps a single stack of open
+# spans, which calls from two threads at once would interleave.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -176,20 +179,74 @@ def _shard_pool():
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(max_workers=_SHARD_WORKERS - 1,
-                                       thread_name_prefix="ffrnn-bptt")
+                                       thread_name_prefix="ffrnn-shard")
         return _POOL
 
 
 def _shard_bounds(batch: int, n_units: int) -> list:
     """[lo, hi) trial ranges of the shards of a batch: as many contiguous
     ranges of near-equal size as there are workers, fewer where a range
-    would hold fewer than _MIN_SHARD_STATES state entries; with one, the
-    whole batch."""
-    shards = min(_SHARD_WORKERS, batch * n_units // _MIN_SHARD_STATES)
+    would hold fewer than _MIN_SHARD_STATES state entries or no trial; with
+    one, the whole batch."""
+    shards = min(_SHARD_WORKERS, batch, batch * n_units // _MIN_SHARD_STATES)
     if shards < 2:
         return [(0, batch)]
     parts = np.array_split(np.arange(batch), shards)
     return [(int(p[0]), int(p[-1]) + 1) for p in parts]
+
+
+# evaluate cuts a chunk only where every shard's GEMMs round each row as
+# the whole chunk's GEMMs do, so that its results do not depend on the
+# shard count: BLAS may round a row of a GEMM differently in a GEMM of
+# another row count. Measured on OpenBLAS 0.3.31 (SkylakeX kernels) at one
+# thread per call, over 8-256 units and chunks of 1-128 trials: a GEMM of
+# at most _SMALL_GEMM multiply-adds takes a small-matrix kernel, which
+# rounds a row alike only at the same offset modulo _EVAL_ALIGN rows (the
+# 3-column readout GEMM always takes it); a larger one takes the regular
+# kernel, which rounds a row alike whatever rows come with it, up to
+# _EVAL_COLUMNS columns. Without any one of these three conditions some
+# readouts differ, and so they do at two threads per call.
+_SMALL_GEMM = 100 ** 3
+_EVAL_ALIGN = 4
+_EVAL_COLUMNS = 192
+
+
+def _eval_bounds(batch: int, config: ModelConfig) -> list:
+    """[lo, hi) trial ranges of the shards of a chunk of ``evaluate``: at
+    most as many as ``_shard_bounds`` gives, cut at multiples of
+    _EVAL_ALIGN trials, and fewer, down to the whole chunk, where a shard's
+    step GEMM would take another kernel than the whole chunk's. The chunk
+    runs whole where BLAS runs more than one thread per call or the step
+    GEMM has more than _EVAL_COLUMNS columns. So each shard's readouts
+    round as in the whole chunk."""
+    n = config.n_units
+    columns = config.n_out + n
+    step = (n + config.n_in + 1) * columns   # multiply-adds per trial
+    blocks = batch // _EVAL_ALIGN
+    most = 1
+    if _BLAS_THREADS == 1 and columns <= _EVAL_COLUMNS:
+        most = min(len(_shard_bounds(batch, n)), blocks)
+    for shards in range(most, 1, -1):
+        cuts = [_EVAL_ALIGN * (i * blocks // shards) for i in range(shards)] + [batch]
+        smallest = min(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+        if (smallest * step > _SMALL_GEMM) == (batch * step > _SMALL_GEMM):
+            return list(zip(cuts, cuts[1:]))
+    return [(0, batch)]
+
+
+def _run_shards(fn, shards: list) -> list:
+    """[fn(*args) for args in shards], run at once: the first on the
+    calling thread, the others on the pool, which a single shard never
+    makes. Waits for every shard before it returns or raises, so no worker
+    still writes into a shard's buffers afterwards; the first error, in
+    shard order, is raised."""
+    futures = [_shard_pool().submit(fn, *args) for args in shards[1:]]
+    try:
+        results = [fn(*shards[0])]
+    finally:
+        for future in futures:
+            future.exception()
+    return results + [f.result() for f in futures]
 
 
 def _divergence(states: list) -> DivergenceError:
@@ -229,11 +286,14 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     ``_SHARD_WORKERS`` contiguous shards of near-equal size, each of at
     least ``_MIN_SHARD_STATES`` trials x units (``_shard_bounds``). They run
     this sweep at once, the first on the calling thread and the others on a
-    pool, each on its own part of the buffers. Every shard scales by the
-    whole batch's size, so the gradients and the squared-error sums are
-    added up in shard order, and the result depends only on the batch and
-    the shard count, never on how the threads were scheduled. Otherwise the
-    batch runs whole.
+    pool (``_run_shards``), each on its own part of the buffers. The step
+    matrices are built once per call, on the calling thread. Every shard
+    scales by the whole batch's size, so the gradients and the squared-error
+    sums are added up in shard order, and the result depends only on the
+    batch and the shard count, never on how the threads were scheduled.
+    Unlike ``evaluate``'s metrics, the gradients do depend on the shard
+    count, at the ulp level: each shard's weight-gradient GEMMs sum over its
+    own trials. Otherwise the batch runs whole.
 
     The loss is summed block by block, before the block's steps run. A
     non-finite loss raises a DivergenceError naming the first step with a
@@ -256,25 +316,20 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
         work = bptt_workspace(config, t_steps, batch)
     scale = 2.0 / batch_y.size
 
+    w = _step_matrix(params)
+    w_back = np.concatenate([scale * params.w_out, params.w_rec])
     shards, u_at, ring_at = [], 0, 0
     for lo, hi in _shard_bounds(batch, n):
         u = _time_major(t_steps + 2, hi - lo, n_out + n + n_in + 1, work[0][u_at:])
         ring = _time_major(min(t_steps, _BLOCK_STEPS) + 1, hi - lo, n_out + n,
                            work[1][ring_at:])
         u_at, ring_at = u_at + u.size, ring_at + ring.size
-        shards.append((batch_x[lo:hi], batch_y[lo:hi], u, ring))
-    futures = [_shard_pool().submit(_bptt_shard, params, config, scale, *shard)
-               for shard in shards[1:]]
-    try:
-        results = [_bptt_shard(params, config, scale, *shards[0])]
-    finally:   # no worker may still write into the buffers once this returns
-        for future in futures:
-            future.exception()
-    results += [f.result() for f in futures]
+        shards.append((w, w_back, config, batch_x[lo:hi], batch_y[lo:hi], u, ring))
+    results = _run_shards(_bptt_shard, shards)
 
     if any(g is None for g, _ in results):
         raise _divergence([u[1:t_steps + 1, :, n_out:n_out + n]
-                           for _, _, u, _ in shards])
+                           for *_, u, _ in shards])
     g, squared = results[0]
     for g_shard, squared_shard in results[1:]:
         g += g_shard
@@ -290,12 +345,14 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
 
 
-def _bptt_shard(params: RnnParams, config: ModelConfig, scale: float,
+def _bptt_shard(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
                 batch_x: np.ndarray, batch_y: np.ndarray, u: np.ndarray,
                 ring: np.ndarray):
     """The forward pass and the blocked backward sweep of ``bptt_gradients``
     over the trials of one shard, in its [t_steps + 2, trials, ...] history
-    ``u`` and its [min(t_steps, _BLOCK_STEPS) + 1, trials, n_out + n] ring.
+    ``u`` and its [min(t_steps, _BLOCK_STEPS) + 1, trials, n_out + n] ring,
+    with the forward step matrix ``w`` (``model._step_matrix``) and the
+    backward one ``w_back`` = [scale * W_out; W_rec].
 
     Returns (g, squared): the [n_out + n, n + n_in + 1] sum of the blocks'
     [err | d]^T @ [h | x | 1] GEMMs, and the sum of the blocks' squared
@@ -306,11 +363,10 @@ def _bptt_shard(params: RnnParams, config: ModelConfig, scale: float,
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     alpha = config.alpha
     u[0, :, n_out:n_out + n] = 0.0
-    _recurrence(params, config, batch_x, u)
+    _recurrence(w, config, batch_x, u)
     h = u[:, :, n_out:n_out + n]
     y = batch_y.transpose(1, 0, 2)
 
-    w_back = np.concatenate([scale * params.w_out, params.w_rec])
     g = np.zeros((n_out + n, n + n_in + 1))
     dh = np.empty((batch, n))
     gain = np.empty((batch, n))
@@ -407,7 +463,9 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     batches, and the shard count changes the trained values at the ulp
     level. So a run repeats bit for bit only with the same BLAS thread
     setting and the same number of usable cores (``os.sched_getaffinity``,
-    which ``taskset`` also changes).
+    which ``taskset`` also changes). The held-out ``evaluate`` is sharded
+    too, but its metrics for given parameters do not depend on the shard
+    count.
     ``epoch_hook(epoch, params, epoch_loss)`` is invoked after every epoch
     when given.
     """
@@ -497,11 +555,20 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     blocks of ``_BLOCK_STEPS`` steps through one
     [_BLOCK_STEPS + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
     starts each block from the state in row 0, and the block's last state
-    goes there for the next one. Only the chunk's readouts are kept, so
-    memory does not grow with the number of trials or of steps. The readout
-    of a block's last state is taken from the next block's first step GEMM,
-    as ``batch_forward`` takes it, so a chunk's readouts equal those of
-    ``batch_forward`` over that chunk bit for bit.
+    goes there for the next one (``_eval_shard``). Only the chunk's readouts
+    are kept, so memory does not grow with the number of trials or of steps.
+    The readout of a block's last state is taken from the next block's first
+    step GEMM, as ``batch_forward`` takes it.
+
+    When BLAS leaves a core idle, a chunk is cut into at most as many
+    shards as ``bptt_gradients`` cuts a batch into, but only at cuts where
+    each shard's GEMMs round every row as the whole chunk's GEMMs do
+    (``_eval_bounds``); elsewhere it runs whole. The shards run at once
+    (``_run_shards``), each on its own consecutive part of the one buffer
+    and writing its own rows of the chunk's readouts, and the squared errors
+    are then summed over the whole chunk. So a chunk's readouts equal those
+    of ``batch_forward`` over that chunk bit for bit, and the metrics do not
+    depend on the shard count, unlike the gradients of ``bptt_gradients``.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -518,6 +585,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     n, n_out = model_cfg.n_units, model_cfg.n_out
     width = n_out + n + model_cfg.n_in + 1
     chunk = min(_EVAL_CHUNK, trials)
+    w = _step_matrix(params)
     flat = np.empty((_BLOCK_STEPS + 2) * chunk * width)
     z_chunk = np.empty((chunk, t_steps, n_out))
     squared, matched, considered = 0.0, 0, 0
@@ -525,15 +593,12 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
         batch = xs.shape[0]
         z = z_chunk[:batch]
-        u = _time_major(_BLOCK_STEPS + 2, batch, width, flat)
-        u[0, :, n_out:n_out + n] = 0.0
-        for t in range(0, t_steps, _BLOCK_STEPS):
-            k = min(_BLOCK_STEPS, t_steps - t)
-            _recurrence(params, model_cfg, xs[:, t:t + k], u)
-            if t:   # the previous block's last readout, from the step GEMM
-                z[:, t - 1] = u[1, :, :n_out]
-            z[:, t:t + k] = u[2:k + 2, :, :n_out].transpose(1, 0, 2)
-            u[0, :, n_out:n_out + n] = u[k, :, n_out:n_out + n]
+        shards, at = [], 0
+        for a, b in _eval_bounds(batch, model_cfg):
+            u = _time_major(_BLOCK_STEPS + 2, b - a, width, flat[at:])
+            at += u.size
+            shards.append((w, model_cfg, xs[a:b], u, z[a:b]))
+        _run_shards(_eval_shard, shards)
         squared += float(np.sum((z - ys) ** 2))
         valid = _clean_hold_mask(events[lo:lo + _EVAL_CHUNK], ys, cfg,
                                  transition_pad)
@@ -543,6 +608,25 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     mse = squared / y.size if y.size else float("nan")
     accuracy = matched / considered if considered else float("nan")
     return EvalMetrics(mse=mse, state_accuracy=accuracy)
+
+
+def _eval_shard(w: np.ndarray, config: ModelConfig, x: np.ndarray,
+                u: np.ndarray, z: np.ndarray) -> None:
+    """``evaluate``'s forward pass over the [trials, t_steps, n_in] inputs
+    ``x`` of one shard, from the zero state, in blocks of ``_BLOCK_STEPS``
+    steps through the [_BLOCK_STEPS + 2, trials, ...] buffer ``u``, with the
+    step matrix ``w``; writes the readouts into [trials, t_steps, n_out]
+    ``z``."""
+    t_steps = x.shape[1]
+    n, n_out = config.n_units, config.n_out
+    u[0, :, n_out:n_out + n] = 0.0
+    for t in range(0, t_steps, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, t_steps - t)
+        _recurrence(w, config, x[:, t:t + k], u)
+        if t:   # the previous block's last readout, from the step GEMM
+            z[:, t - 1] = u[1, :, :n_out]
+        z[:, t:t + k] = u[2:k + 2, :, :n_out].transpose(1, 0, 2)
+        u[0, :, n_out:n_out + n] = u[k, :, n_out:n_out + n]
 
 
 @dataclass

@@ -116,3 +116,19 @@ def test_failed_write_keeps_out(tmp_path, monkeypatch):
         bench_pairs.write_atomically(out, '{"new": 1}\n')
     assert out.read_text() == "{}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
+
+
+def test_summary_keeps_each_sides_extremes():
+    # one change run of five reads far above the others: the quartiles hide
+    # it, the maximum shows it
+    def runs(values):
+        return [{"metrics": {"peak_rss_mb": {"value": v}}} for v in values]
+
+    summary = bench_pairs.summarise(
+        {"parent": runs([134.5, 134.6, 134.8, 134.4, 134.7]),
+         "change": runs([135.0, 153.9, 135.2, 135.1, 135.3])},
+        [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}])["peak_rss_mb"]
+    assert (summary["parent"]["min"], summary["parent"]["max"]) == (134.4, 134.8)
+    assert (summary["change"]["min"], summary["change"]["max"]) == (135.0, 153.9)
+    assert summary["change"]["q3"] == 135.3
+    assert summary["change_wins"] == 0

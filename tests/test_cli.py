@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -77,8 +78,9 @@ class TestGen:
         run_cli(*gen_args(out))
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "gen"
-        names = {o["path"] for o in manifest["outputs"]}
-        assert {"x.rnt", "y.rnt", "config.json"} <= names
+        # the benchmark checks this set of files
+        assert sorted(o["path"] for o in manifest["outputs"]) == \
+            ["config.json", "x.rnt", "y.rnt"]
 
     def test_bad_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -524,6 +526,33 @@ class TestEval:
         out = tmp_path / "m.json"
         assert run_cli("eval", "--checkpoint", ckpt, "--out", out) == 0
         assert json.loads(out.read_text())["state_accuracy"] == 1.0
+
+    def test_sharded_eval_writes_the_same_bytes(self, tmp_path):
+        # at one BLAS thread per call, where evaluate shards: two chunks of a
+        # 128-unit network, the first cut into two shards when there are two
+        # workers, the second kept whole
+        data_dir = tmp_path / "data"
+        save_dataset(generate_dataset(TaskConfig(t_steps=60, seed=11), 200), data_dir)
+        cfg = ModelConfig(n_units=128)
+        save_checkpoint(tmp_path / "ckpt", init_params(cfg, SeededRng(12)), cfg)
+        code = ("import sys\n"
+                "from ffrnn import cli, training\n"
+                "training._SHARD_WORKERS = int(sys.argv[1])\n"
+                "print(training._eval_bounds(128, training.ModelConfig(n_units=128)))\n"
+                "sys.exit(cli.main(sys.argv[2:]))\n")
+        env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        written = []
+        for workers, bounds in ((1, "[(0, 128)]"), (2, "[(0, 64), (64, 128)]")):
+            out = tmp_path / f"m{workers}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(workers), "eval", "--checkpoint",
+                 str(tmp_path / "ckpt"), "--data", str(data_dir), "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[0] == bounds
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         ckpt = tmp_path / "bad"

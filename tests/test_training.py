@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -332,10 +333,24 @@ def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, se
 @pytest.fixture
 def sharded(monkeypatch):
     """bptt_gradients cuts every batch of two trials or more into two
-    shards, whatever the BLAS thread count of the run and however few units
-    the network has."""
+    shards, and evaluate every chunk of eight trials or more, whatever the
+    BLAS thread count of the run and however few units the network has.
+    (BLAS runs GEMMs as small as these tests' on one thread whatever its
+    setting.)"""
     monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
     monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+    monkeypatch.setattr(training, "_BLAS_THREADS", 1)
+
+
+def run_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ffrnn, with ``env`` added to the environment; returns its stdout."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(training.__file__)),
+         env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 class SerialPool:
@@ -396,11 +411,39 @@ class TestShardedBptt:
         (96, 128, 4, [(0, 32), (32, 64), (64, 96)]),   # 32 x 128 = 4096 each
         (127, 64, 2, [(0, 127)]),   # two shards would hold fewer than 4096
         (128, 32, 2, [(0, 128)]),
+        (2, 8192, 4, [(0, 1), (1, 2)]),   # never more shards than trials
     ])
     def test_shard_bounds(self, monkeypatch, batch, n, workers, bounds):
         monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
         assert training._MIN_SHARD_STATES == 4096
         assert training._shard_bounds(batch, n) == bounds
+
+    @pytest.mark.parametrize("batch, n, workers, bounds", [
+        (128, 128, 2, [(0, 64), (64, 128)]),
+        (128, 160, 3, [(0, 40), (40, 84), (84, 128)]),   # cut at multiples of 4
+        # the 32- and 40-trial shards of a 128-unit chunk would take the
+        # small-matrix kernel, and so would the 56- and 48-trial first
+        # shards of these two chunks
+        (128, 128, 4, [(0, 64), (64, 128)]),
+        (116, 128, 2, [(0, 116)]),
+        (100, 128, 2, [(0, 100)]),
+        (128, 189, 2, [(0, 64), (64, 128)]),   # 192 columns
+        (128, 190, 2, [(0, 128)]),   # 193 columns
+        (127, 64, 2, [(0, 127)]),   # as _shard_bounds: too few states
+    ])
+    def test_eval_bounds(self, monkeypatch, batch, n, workers, bounds):
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        monkeypatch.setattr(training, "_BLAS_THREADS", 1)
+        assert training._MIN_SHARD_STATES == 4096
+        assert training._eval_bounds(batch, ModelConfig(n_units=n)) == bounds
+
+    def test_eval_runs_whole_under_threaded_blas(self, monkeypatch):
+        # a GEMM that BLAS splits over threads rounds its rows by how they
+        # fall on the threads
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        monkeypatch.setattr(training, "_BLAS_THREADS", 2)
+        assert training._eval_bounds(128, ModelConfig(n_units=128)) == [(0, 128)]
+        assert len(training._shard_bounds(128, 128)) == 2
 
     def test_one_worker_runs_the_batch_whole(self, monkeypatch):
         monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
@@ -514,7 +557,9 @@ class TestShardedBptt:
         n = cfg.n_units
         u = np.empty((x.shape[1] + 2, 128, 3 + n + 3 + 1))
         ring = np.empty((_BLOCK_STEPS + 1, 128, 3 + n))
-        g, squared = training._bptt_shard(params, cfg, 2.0 / y.size, x, y, u, ring)
+        w_back = np.concatenate([(2.0 / y.size) * params.w_out, params.w_rec])
+        g, squared = training._bptt_shard(training._step_matrix(params), w_back,
+                                          cfg, x, y, u, ring)
         assert batch_loss == squared / y.size
         npt.assert_array_equal(grads.w_rec, g[3:, :n])
         npt.assert_array_equal(grads.w_in, g[3:, n:-1])
@@ -789,8 +834,9 @@ class TestEvaluate:
 
     def test_peak_memory_one_chunk(self):
         # evaluate runs each chunk through one [_BLOCK_STEPS + 2, chunk, ...]
-        # buffer and keeps only the chunk's readouts, so its peak is a small
-        # part of the one full-history buffer a chunk would otherwise fill
+        # buffer, which its shards share, and keeps only the chunk's
+        # readouts, so its peak is a small part of the one full-history
+        # buffer a chunk would otherwise fill
         task = TaskConfig(t_steps=300)
         mcfg = ModelConfig(n_units=64)
         params = init_params(mcfg, SeededRng(37))
@@ -810,7 +856,7 @@ class TestEvaluate:
     # short trials, so that clean holds exist at transition pad 2
     SHORT = dict(pulse_width=2, delay_steps=2, min_gap=4, max_gap=12)
 
-    @pytest.mark.parametrize("task, model, trials, pad", [
+    CHUNK_CASES = [
         pytest.param(dict(t_steps=300), {}, 2 * _EVAL_CHUNK + 44, 10,
                      id="300-steps"),
         pytest.param(SHORT | dict(t_steps=_BLOCK_STEPS - 7), {}, 40, 2,
@@ -822,10 +868,12 @@ class TestEvaluate:
                      id="leaky-with-bias"),
         pytest.param(SHORT | dict(t_steps=70), {}, _EVAL_CHUNK + 1, 2,
                      id="one-trial-last-chunk"),
-    ])
-    def test_chunked_matches_whole_dataset(self, task, model, trials, pad):
-        # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
-        # of _EVAL_CHUNK trials, batch_forward's here over all of them
+        pytest.param(SHORT | dict(t_steps=70), {}, _EVAL_CHUNK + 3, 2,
+                     id="last-chunk-below-the-workers"),
+    ]
+
+    @staticmethod
+    def chunk_case(task, model, trials):
         cfg = TaskConfig(seed=35, **task)
         ds = generate_dataset(cfg, trials)
         mcfg = ModelConfig(n_units=8, **model)
@@ -833,6 +881,13 @@ class TestEvaluate:
         if mcfg.use_bias:
             params.b_rec = SeededRng(39).gen.normal(0, 0.3, 8)
             params.b_out = SeededRng(40).gen.normal(0, 0.3, 3)
+        return cfg, ds, mcfg, params
+
+    @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
+    def test_chunked_matches_whole_dataset(self, task, model, trials, pad):
+        # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
+        # of _EVAL_CHUNK trials, batch_forward's here over all of them
+        cfg, ds, mcfg, params = self.chunk_case(task, model, trials)
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
         npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
@@ -843,18 +898,158 @@ class TestEvaluate:
         ok = np.all(np.sign(z) == ds.y, axis=2)
         assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
 
+    @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_sharded_equals_serial(self, sharded, monkeypatch, workers,
+                                   task, model, trials, pad):
+        # every trial's readouts come from the same row-wise GEMMs whatever
+        # shard it falls in, and the squared errors are summed over the
+        # whole chunk, so the metrics are the serial ones bit for bit
+        _, ds, mcfg, params = self.chunk_case(task, model, trials)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        serial = evaluate(params, mcfg, ds, transition_pad=pad)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        assert len(training._eval_bounds(min(trials, _EVAL_CHUNK), mcfg)) == workers
+        assert evaluate(params, mcfg, ds, transition_pad=pad) == serial
+
+    def test_sharded_peak_memory_one_chunk(self, sharded):
+        self.test_peak_memory_one_chunk()
+
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_one_chunk_matches_batch_forward_bitwise(self, dt):
         # every readout, block boundaries included, comes from a GEMM of the
-        # same shape as in batch_forward over the same trials; with
-        # batch_forward's readouts as targets, any differing bit shows as a
-        # nonzero mse
+        # same shape as in batch_forward over the same trials, or, in
+        # shards, from GEMMs that round each row alike; with batch_forward's
+        # readouts as targets, any differing bit shows as a nonzero mse
         cfg = TaskConfig(seed=41, t_steps=3 * _BLOCK_STEPS + 5)
         ds = generate_dataset(cfg, 50)
         mcfg = ModelConfig(n_units=16, dt=dt)
         params = init_params(mcfg, SeededRng(42))
         _, z = batch_forward(params, mcfg, ds.x)
         assert evaluate(params, mcfg, Dataset(ds.x, z, cfg, ds.events)).mse == 0.0
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_sharded_chunk_matches_batch_forward_bitwise(self, sharded, dt):
+        assert training._eval_bounds(50, ModelConfig(n_units=16)) == [(0, 24), (24, 50)]
+        self.test_one_chunk_matches_batch_forward_bitwise(dt)
+
+    def test_sharded_matches_batch_forward_at_network_sizes(self):
+        # at one BLAS thread per call, as evaluate shards, and at the sizes
+        # where BLAS picks its GEMM kernel by the size of the GEMM: the cuts
+        # of _eval_bounds keep every readout bit for bit. Each line printed
+        # is units, trials, workers, shards and the mse against
+        # batch_forward's readouts
+        code = """
+from ffrnn import training
+from ffrnn.linalg import SeededRng
+from ffrnn.model import ModelConfig, batch_forward, init_params
+from ffrnn.task import Dataset, TaskConfig
+assert training._BLAS_THREADS == 1
+cfg = TaskConfig(t_steps=training._BLOCK_STEPS + 8)
+for n in (64, 96, 128, 160, 189, 192):
+    mcfg = ModelConfig(n_units=n)
+    params = init_params(mcfg, SeededRng(46))
+    for trials in (44, 100, 116, 128):
+        x = SeededRng(47).gen.normal(size=(trials, cfg.t_steps, 3))
+        _, z = batch_forward(params, mcfg, x)
+        data = Dataset(x, z, cfg, [[] for _ in range(trials)])
+        for workers in (2, 3, 4):
+            training._SHARD_WORKERS = workers
+            shards = len(training._eval_bounds(trials, mcfg))
+            mse = training.evaluate(params, mcfg, data).mse
+            print(n, trials, workers, shards, mse)
+"""
+        lines = [line.split() for line in
+                 run_python(code, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                            MKL_NUM_THREADS="1").splitlines()]
+        assert len(lines) == 6 * 4 * 3
+        assert {float(mse) for *_, mse in lines} == {0.0}
+        sharded = {(n, trials, workers) for n, trials, workers, shards, _ in lines
+                   if int(shards) > 1}
+        assert len(sharded) == 27
+        assert ("128", "128", "2") in sharded
+
+    def test_concurrent_equals_serial(self, sharded, monkeypatch):
+        # 4 shards on 3 workers plus the caller, more threads than cores,
+        # switching threads as often as the interpreter allows: the metrics
+        # are the serial ones every time
+        _, ds, mcfg, params = self.chunk_case(
+            self.SHORT | dict(t_steps=2 * _BLOCK_STEPS + 3), dict(dt=0.5),
+            _EVAL_CHUNK + 40)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        expected = evaluate(params, mcfg, ds, transition_pad=2)
+        assert not math.isnan(expected.state_accuracy)
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 4)
+        assert len(training._eval_bounds(_EVAL_CHUNK, mcfg)) == 4
+        pool = ThreadPoolExecutor(max_workers=3)
+        monkeypatch.setattr(training, "_POOL", pool)
+        results = []
+
+        def stress():
+            for _ in range(10):
+                results.append(evaluate(params, mcfg, ds, transition_pad=2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=stress)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=not runner.is_alive())
+        assert not runner.is_alive()
+        assert results == [expected] * 10
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failing_shard_raises_after_every_shard(self, sharded, monkeypatch,
+                                                    failing):
+        # the first shard runs on the calling thread, the others on the pool
+        cfg = TaskConfig(seed=43, t_steps=40)
+        ds = generate_dataset(cfg, 30)
+        mcfg = ModelConfig(n_units=8)
+        params = init_params(mcfg, SeededRng(44))
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 3)
+        starts = [lo for lo, _ in training._eval_bounds(30, mcfg)]
+        assert len(starts) == 3
+        finished = []
+        run_shard = training._eval_shard
+
+        def shard(w, config, x, u, z):
+            index = next(i for i, lo in enumerate(starts)
+                         if np.array_equal(x[0], ds.x[lo]))
+            if index == failing:
+                raise RuntimeError(f"shard {index} failed")
+            time.sleep(0.2)
+            run_shard(w, config, x, u, z)
+            finished.append(index)
+
+        monkeypatch.setattr(training, "_eval_shard", shard)
+        pool = ThreadPoolExecutor(max_workers=2)
+        monkeypatch.setattr(training, "_POOL", pool)
+        try:
+            with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
+                evaluate(params, mcfg, ds)
+            assert sorted(finished) == [i for i in range(3) if i != failing]
+        finally:
+            pool.shutdown()
+
+    def test_probe_makes_no_pool(self):
+        # the probe of `ffrnn eval` is one trial, which is never cut into
+        # shards, however many workers there are
+        code = ("import sys\n"
+                "from ffrnn import training\n"
+                "from ffrnn.linalg import SeededRng\n"
+                "from ffrnn.model import ModelConfig, init_params\n"
+                "from ffrnn.task import TaskConfig, generate_probe\n"
+                "training._SHARD_WORKERS = 4\n"
+                "training._MIN_SHARD_STATES = 1\n"
+                "training._BLAS_THREADS = 1\n"
+                "mcfg = ModelConfig(n_units=128)\n"
+                "params = init_params(mcfg, SeededRng(45))\n"
+                "training.evaluate(params, mcfg, generate_probe(TaskConfig()))\n"
+                "print(training._POOL, 'concurrent.futures' in sys.modules)\n")
+        assert run_python(code).split() == ["None", "False"]
 
 
 class TestTrainConfig:

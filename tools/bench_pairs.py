@@ -8,9 +8,11 @@ OLD and NEW are roots of two checkouts, each with its own ``src/`` and
 one after the other; the checkout that runs first alternates from pair to
 pair, so a slow drift of the machine weighs on both alike. ``run.py`` pins
 BLAS to one thread. For every end-to-end metric of ``BENCHMARK.json`` the
-output holds the median and quartiles of each side, the median change, and
-the number of pairs the new code won. Workloads already in ``--out`` are
-kept, so the workloads can be run one at a time into the same file.
+output holds the median, quartiles, minimum and maximum of each side (so a
+metric whose runs fall in two clusters shows without reading the runs),
+the median change, and the number of pairs the new code won. Workloads
+already in ``--out`` are kept, so the workloads can be run one at a time
+into the same file.
 
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
@@ -81,7 +83,8 @@ def write_atomically(path: Path, text: str) -> None:
 
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3,
+            "min": min(values), "max": max(values)}
 
 
 def summarise(runs: dict, metrics: list) -> dict:
