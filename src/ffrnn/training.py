@@ -149,26 +149,26 @@ def _blas_threads() -> int:
 
 
 # fewest state entries (trials x units) per step in a shard of
-# bptt_gradients or of a chunk of evaluate. Smaller shards lose more to the
+# bptt_gradients or a chunk of evaluate. Smaller shards lose more to the
 # per-step costs that every shard repeats than the second core gains: at
 # one BLAS thread on 2 cores and 300 steps, two shards of bptt_gradients ran
 # at 0.73-0.87x the whole batch's speed at 2,048 entries (16 trials x 128
 # units, 32 x 64, 64 x 32), and at 1.08-1.30x at 4,096 (64 x 64, 32 x 128)
 # but 0.96x at 128 x 32.
 _MIN_SHARD_STATES = 4096
-# threads per BLAS call, and the shards that bptt_gradients and evaluate
-# run at once, at most, the calling thread's included. BLAS reads its
-# thread count once at start-up, so these are read once at import too.
-# Below 2 every batch runs whole: one core per BLAS call leaves no core
-# idle.
-_BLAS_THREADS = _blas_threads()
-_SHARD_WORKERS = _usable_cores() // _BLAS_THREADS
+# the shards that bptt_gradients, and the chunks that evaluate, run at
+# once, at most, the calling thread's included: usable cores // threads per
+# BLAS call. BLAS reads its thread count once at start-up, so this is read
+# once at import too. At 1 every batch runs whole: one core per BLAS call
+# leaves no core idle.
+_SHARD_WORKERS = max(1, _usable_cores() // _blas_threads())
 # Runs every shard but the first, which the calling thread runs itself
 # (_run_shards). It is made, and concurrent.futures imported, on the first
-# batch or chunk that is cut into shards (_shard_pool). Workers call only
-# private functions (_bptt_shard, _eval_shard and model._recurrence): the
-# benchmark's tracer wraps the public ones and keeps a single stack of open
-# spans, which calls from two threads at once would interleave.
+# call that runs two shards or chunks at once (_shard_pool). Workers call
+# only private functions (_bptt_shard, _eval_chunks, _eval_shard and
+# model._recurrence): the benchmark's tracer wraps the public ones and
+# keeps a single stack of open spans, which calls from two threads at once
+# would interleave.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -195,54 +195,15 @@ def _shard_bounds(batch: int, n_units: int) -> list:
     return [(int(p[0]), int(p[-1]) + 1) for p in parts]
 
 
-# evaluate cuts a chunk only where every shard's GEMMs round each row as
-# the whole chunk's GEMMs do, so that its results do not depend on the
-# shard count: BLAS may round a row of a GEMM differently in a GEMM of
-# another row count. Measured on OpenBLAS 0.3.31 (SkylakeX kernels) at one
-# thread per call, over 8-256 units and chunks of 1-128 trials: a GEMM of
-# at most _SMALL_GEMM multiply-adds takes a small-matrix kernel, which
-# rounds a row alike only at the same offset modulo _EVAL_ALIGN rows (the
-# 3-column readout GEMM always takes it); a larger one takes the regular
-# kernel, which rounds a row alike whatever rows come with it, up to
-# _EVAL_COLUMNS columns. Without any one of these three conditions some
-# readouts differ, and so they do at two threads per call.
-_SMALL_GEMM = 100 ** 3
-_EVAL_ALIGN = 4
-_EVAL_COLUMNS = 192
-
-
-def _eval_bounds(batch: int, config: ModelConfig) -> list:
-    """[lo, hi) trial ranges of the shards of a chunk of ``evaluate``: at
-    most as many as ``_shard_bounds`` gives, cut at multiples of
-    _EVAL_ALIGN trials, and fewer, down to the whole chunk, where a shard's
-    step GEMM would take another kernel than the whole chunk's. The chunk
-    runs whole where BLAS runs more than one thread per call or the step
-    GEMM has more than _EVAL_COLUMNS columns. So each shard's readouts
-    round as in the whole chunk."""
-    n = config.n_units
-    columns = config.n_out + n
-    step = (n + config.n_in + 1) * columns   # multiply-adds per trial
-    blocks = batch // _EVAL_ALIGN
-    most = 1
-    if _BLAS_THREADS == 1 and columns <= _EVAL_COLUMNS:
-        most = min(len(_shard_bounds(batch, n)), blocks)
-    for shards in range(most, 1, -1):
-        cuts = [_EVAL_ALIGN * (i * blocks // shards) for i in range(shards)] + [batch]
-        smallest = min(hi - lo for lo, hi in zip(cuts, cuts[1:]))
-        if (smallest * step > _SMALL_GEMM) == (batch * step > _SMALL_GEMM):
-            return list(zip(cuts, cuts[1:]))
-    return [(0, batch)]
-
-
 def _run_shards(fn, shards: list) -> list:
     """[fn(*args) for args in shards], run at once: the first on the
-    calling thread, the others on the pool, which a single shard never
-    makes. Waits for every shard before it returns or raises, so no worker
-    still writes into a shard's buffers afterwards; the first error, in
-    shard order, is raised."""
+    calling thread, the others on the pool, which a single shard (or none)
+    never makes. Waits for every shard before it returns or raises, so no
+    worker still writes into a shard's buffers afterwards; the first error,
+    in shard order, is raised."""
     futures = [_shard_pool().submit(fn, *args) for args in shards[1:]]
     try:
-        results = [fn(*shards[0])]
+        results = [fn(*args) for args in shards[:1]]
     finally:
         for future in futures:
             future.exception()
@@ -463,9 +424,9 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     batches, and the shard count changes the trained values at the ulp
     level. So a run repeats bit for bit only with the same BLAS thread
     setting and the same number of usable cores (``os.sched_getaffinity``,
-    which ``taskset`` also changes). The held-out ``evaluate`` is sharded
-    too, but its metrics for given parameters do not depend on the shard
-    count.
+    which ``taskset`` also changes). The held-out ``evaluate`` runs its
+    chunks on as many workers, but its metrics for given parameters never
+    depend on the worker count.
     ``epoch_hook(epoch, params, epoch_loss)`` is invoked after every epoch
     when given.
     """
@@ -538,8 +499,16 @@ def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     return mask
 
 
-# trials per forward pass in evaluate
-_EVAL_CHUNK = 128
+# fewest trials per chunk of evaluate; a chunk also holds at least
+# _MIN_SHARD_STATES state entries per step (_eval_chunk)
+_EVAL_CHUNK = 64
+
+
+def _eval_chunk(n_units: int) -> int:
+    """Trials per chunk of ``evaluate`` for a network of ``n_units``: the
+    last chunk, or a dataset of fewer trials, holds the rest. It depends on
+    the network size alone, never on the worker count."""
+    return max(_EVAL_CHUNK, -(-_MIN_SHARD_STATES // n_units))
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -549,26 +518,27 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside the transition window
     of every pulse event (``_clean_hold_mask``), and sign(z) equals the
-    target on all channels; it is NaN when no step is a clean hold.
+    target on all channels; it is NaN when no step is a clean hold. Both
+    are NaN for a dataset of no trials.
 
-    The forward pass runs ``_EVAL_CHUNK`` trials at a time, each chunk in
-    blocks of ``_BLOCK_STEPS`` steps through one
+    The forward pass runs ``_eval_chunk(n_units)`` trials at a time, each
+    chunk in blocks of ``_BLOCK_STEPS`` steps through a
     [_BLOCK_STEPS + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
     starts each block from the state in row 0, and the block's last state
     goes there for the next one (``_eval_shard``). Only the chunk's readouts
     are kept, so memory does not grow with the number of trials or of steps.
     The readout of a block's last state is taken from the next block's first
-    step GEMM, as ``batch_forward`` takes it.
+    step GEMM, as ``batch_forward`` takes it. So a chunk's readouts equal
+    those of ``batch_forward`` over that chunk bit for bit.
 
-    When BLAS leaves a core idle, a chunk is cut into at most as many
-    shards as ``bptt_gradients`` cuts a batch into, but only at cuts where
-    each shard's GEMMs round every row as the whole chunk's GEMMs do
-    (``_eval_bounds``); elsewhere it runs whole. The shards run at once
-    (``_run_shards``), each on its own consecutive part of the one buffer
-    and writing its own rows of the chunk's readouts, and the squared errors
-    are then summed over the whole chunk. So a chunk's readouts equal those
-    of ``batch_forward`` over that chunk bit for bit, and the metrics do not
-    depend on the shard count, unlike the gradients of ``bptt_gradients``.
+    When BLAS leaves a core idle, the chunks run at once: worker k of
+    W = min(_SHARD_WORKERS, chunks) runs chunks k, k + W, ... one after
+    another through one block buffer and one readout array of its own,
+    sized to its largest chunk, and scores each (``_eval_chunks``); the
+    first worker runs on the calling thread, the others on a pool
+    (``_run_shards``). The chunk sums are then added up in chunk order. A
+    chunk's bounds and GEMMs do not depend on the worker count, so neither
+    do the metrics, unlike the gradients of ``bptt_gradients``.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -582,38 +552,57 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     x = _forward_input(params, model_cfg, x)
 
     trials, t_steps, _ = x.shape
-    n, n_out = model_cfg.n_units, model_cfg.n_out
-    width = n_out + n + model_cfg.n_in + 1
-    chunk = min(_EVAL_CHUNK, trials)
+    n_out = model_cfg.n_out
+    width = n_out + model_cfg.n_units + model_cfg.n_in + 1
+    chunk = _eval_chunk(model_cfg.n_units)
+    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    workers = min(_SHARD_WORKERS, len(bounds))
     w = _step_matrix(params)
-    flat = np.empty((_BLOCK_STEPS + 2) * chunk * width)
-    z_chunk = np.empty((chunk, t_steps, n_out))
+    # The calling thread allocates every worker's buffers: glibc keeps what
+    # a pool thread frees in that thread's own arena, where the next round
+    # of training does not reuse it (train-128's peak RSS rose 1.8 MB).
+    # Worker k's first chunk is its largest.
+    results = _run_shards(_eval_chunks, [
+        (w, model_cfg, x, y, events, cfg, transition_pad, bounds[k::workers],
+         np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
+         np.empty((hi - lo, t_steps, n_out)))
+        for k, (lo, hi) in enumerate(bounds[:workers])])
     squared, matched, considered = 0.0, 0, 0
-    for lo in range(0, trials, _EVAL_CHUNK):
-        xs, ys = x[lo:lo + _EVAL_CHUNK], y[lo:lo + _EVAL_CHUNK]
-        batch = xs.shape[0]
-        z = z_chunk[:batch]
-        shards, at = [], 0
-        for a, b in _eval_bounds(batch, model_cfg):
-            u = _time_major(_BLOCK_STEPS + 2, b - a, width, flat[at:])
-            at += u.size
-            shards.append((w, model_cfg, xs[a:b], u, z[a:b]))
-        _run_shards(_eval_shard, shards)
-        squared += float(np.sum((z - ys) ** 2))
-        valid = _clean_hold_mask(events[lo:lo + _EVAL_CHUNK], ys, cfg,
-                                 transition_pad)
-        ok = np.all(np.sign(z) == ys, axis=2)
-        considered += int(valid.sum())
-        matched += int((ok & valid).sum())
+    for i in range(len(bounds)):   # in chunk order
+        s, m, c = results[i % workers][i // workers]
+        squared, matched, considered = squared + s, matched + m, considered + c
     mse = squared / y.size if y.size else float("nan")
     accuracy = matched / considered if considered else float("nan")
     return EvalMetrics(mse=mse, state_accuracy=accuracy)
 
 
+def _eval_chunks(w: np.ndarray, config: ModelConfig, x: np.ndarray,
+                 y: np.ndarray, events, task, pad: int, bounds: list,
+                 flat: np.ndarray, readouts: np.ndarray) -> list:
+    """Runs the [lo, hi) trial ranges ``bounds`` of ``evaluate``'s inputs
+    ``x`` one after another (``_eval_shard``), each through a block buffer
+    laid out in a prefix of the 1-D array ``flat`` and through the first
+    rows of the [rows, t_steps, n_out] array ``readouts``, and scores each
+    against the targets ``y`` on the clean holds of ``events``
+    (``_clean_hold_mask``). Returns each range's (sum of squared errors,
+    clean hold steps matched, clean hold steps)."""
+    width = config.n_out + config.n_units + config.n_in + 1
+    sums = []
+    for lo, hi in bounds:
+        z, ys = readouts[:hi - lo], y[lo:hi]
+        _eval_shard(w, config, x[lo:hi],
+                    _time_major(_BLOCK_STEPS + 2, hi - lo, width, flat), z)
+        valid = _clean_hold_mask(events[lo:hi], ys, task, pad)
+        ok = np.all(np.sign(z) == ys, axis=2)
+        sums.append((float(np.sum((z - ys) ** 2)), int((ok & valid).sum()),
+                     int(valid.sum())))
+    return sums
+
+
 def _eval_shard(w: np.ndarray, config: ModelConfig, x: np.ndarray,
                 u: np.ndarray, z: np.ndarray) -> None:
     """``evaluate``'s forward pass over the [trials, t_steps, n_in] inputs
-    ``x`` of one shard, from the zero state, in blocks of ``_BLOCK_STEPS``
+    ``x`` of one chunk, from the zero state, in blocks of ``_BLOCK_STEPS``
     steps through the [_BLOCK_STEPS + 2, trials, ...] buffer ``u``, with the
     step matrix ``w``; writes the readouts into [trials, t_steps, n_out]
     ``z``."""

@@ -132,3 +132,53 @@ def test_summary_keeps_each_sides_extremes():
     assert (summary["change"]["min"], summary["change"]["max"]) == (135.0, 153.9)
     assert summary["change"]["q3"] == 135.3
     assert summary["change_wins"] == 0
+
+
+def runs_of(name, values):
+    return [{"metrics": {name: {"value": v}}} for v in values]
+
+
+@pytest.mark.parametrize("better, parent, change, claimable, worse", [
+    # 10/10 pairs won, median 20% better, far past the parent IQR of 2
+    ("higher", [99, 100, 101] * 3 + [100], [120] * 10, True, False),
+    ("lower", [99, 100, 101] * 3 + [100], [80] * 10, True, False),
+    # 8/10 pairs won: not claimable, though the median moved far
+    ("higher", [100] * 10, [120] * 8 + [90] * 2, False, False),
+    # every pair won, but by less than the parent IQR
+    ("higher", [90, 100, 110] * 3 + [100], [x + 1 for x in [90, 100, 110] * 3 + [100]],
+     False, False),
+    # 30% worse: past the 25% bound, and past the IQR, yet never claimable
+    ("higher", [99, 100, 101] * 3 + [100], [70] * 10, False, True),
+    ("lower", [99, 100, 101] * 3 + [100], [130] * 10, False, True),
+    # 20% worse: inside the bound
+    ("lower", [99, 100, 101] * 3 + [100], [120] * 10, False, False),
+])
+def test_verdicts_read_the_better_direction(better, parent, change, claimable, worse):
+    metric = {"name": "m", "unit": "u", "better": better, "bound": 0.25}
+    summary = bench_pairs.summarise(
+        {"parent": runs_of("m", parent), "change": runs_of("m", change)},
+        [metric])["m"]
+    assert summary["claimable"] is claimable
+    assert summary["worse_than_bound"] is worse
+
+
+def test_worsening_exceeds_the_iqr_but_is_not_claimable():
+    # a rise of a lower-is-better metric that no pair won: the magnitude
+    # check reads true, the verdicts show which way it went
+    summary = bench_pairs.summarise(
+        {"parent": runs_of("peak_rss_mb", [57.2, 57.3, 57.4, 57.5, 57.3]),
+         "change": runs_of("peak_rss_mb", [58.1, 58.3, 58.4, 58.5, 58.2])},
+        [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+    )["peak_rss_mb"]
+    assert summary["change_wins"] == 0
+    assert summary["exceeds_parent_iqr"] is True
+    assert summary["claimable"] is False
+    assert summary["worse_than_bound"] is False
+
+
+def test_metric_without_bound_has_no_bound_verdict():
+    summary = bench_pairs.summarise(
+        {"parent": runs_of("m", [1, 2, 3]), "change": runs_of("m", [9, 9, 9])},
+        [{"name": "m", "unit": "u", "better": "lower"}])["m"]
+    assert summary["worse_than_bound"] is None
+    assert summary["claimable"] is False

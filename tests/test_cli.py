@@ -8,13 +8,14 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from ffrnn import training
 from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, init_params, load_checkpoint, save_checkpoint
-from ffrnn.task import TaskConfig, generate_dataset, load_dataset, save_dataset
+from ffrnn.task import Dataset, TaskConfig, generate_dataset, load_dataset, save_dataset
 from ffrnn.tensorio import sha256_file
 
 
@@ -486,6 +487,51 @@ def test_fuzzed_dataset_config_exits_0_or_2(fuzz_data, changed, dropped):
     assert run_cli("eval", "--checkpoint", root / "ckpt", "--data", root) in (0, 2)
 
 
+@pytest.fixture(scope="module")
+def config_root(tmp_path_factory):
+    """A directory holding a 3-trial dataset ``data`` and a checkpoint
+    ``ckpt`` for the fuzzed --config runs, which run in it."""
+    root = tmp_path_factory.mktemp("fuzz_config")
+    task_cfg = TaskConfig(t_steps=40, delay_steps=5, seed=13)
+    save_dataset(generate_dataset(task_cfg, 3), root / "data")
+    write_latch_checkpoint(root / "ckpt", task_cfg)
+    return root
+
+
+# the flags of gradcheck and eval, the two commands the fuzz runs
+CONFIG_KEYS = st.sampled_from(["units", "steps", "trials", "batch", "seed",
+                               "checkpoint", "data", "pad", "out"])
+# JSON scalars, with integers kept small so that no gradcheck grows large
+# and names that resolve inside config_root, then lists and objects of them
+CONFIG_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(),
+              st.sampled_from([float("nan"), float("inf"), -float("inf"), 2.0,
+                               "", "3", "-1", "nan", "data", "ckpt", "m.json"])),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(["units", "a"]), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from([["gradcheck"], ["eval", "--checkpoint", "ckpt"]]),
+       values=st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=4))
+def test_fuzzed_config_file_exits_0_2_or_3(config_root, command, values):
+    # a run that argparse rejects exits 2 through SystemExit, as on the
+    # command line; any other exception fails the test. The file asks for
+    # 2 gradcheck trials unless it sets its own
+    (config_root / "conf.json").write_text(json.dumps({"trials": 2} | values))
+    cwd = os.getcwd()
+    before = set(os.listdir(cwd))
+    os.chdir(config_root)
+    try:
+        code = exit_code("--config", "conf.json", *command)
+    finally:
+        os.chdir(cwd)
+    event(f"{command[0]} exit {code}")
+    assert code in (0, 2, 3)
+    assert set(os.listdir(cwd)) == before
+
+
 def write_latch_checkpoint(out_dir, task_cfg):
     eye = np.eye(3)
     params = RnnParams(w_in=1000.0 * eye, w_rec=1000.0 * eye, w_out=eye,
@@ -519,6 +565,24 @@ class TestEval:
                        "--out", out) == 0
         assert json.loads(out.read_text())["state_accuracy"] is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_dataset_writes_nulls(self, tmp_path, capsys, monkeypatch, workers):
+        # a dataset of no trials, written by hand: no chunk to run, and
+        # neither metric has a number
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        task_cfg = TaskConfig(t_steps=40)
+        data_dir = tmp_path / "data"
+        x = np.zeros((0, 40, 3))
+        save_dataset(Dataset(x, x.copy(), task_cfg, []), data_dir)
+        ckpt = tmp_path / "latch"
+        write_latch_checkpoint(ckpt, task_cfg)
+        out = tmp_path / "m.json"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data_dir,
+                       "--out", out) == 0
+        expected = {"mse": None, "state_accuracy": None}
+        assert json.loads(capsys.readouterr().out) == expected
+        assert json.loads(out.read_text()) == expected
+
     def test_eval_on_probe_by_default(self, tmp_path):
         task_cfg = TaskConfig(noise_std=0.0, seed=9)
         ckpt = tmp_path / "latch"
@@ -528,9 +592,9 @@ class TestEval:
         assert json.loads(out.read_text())["state_accuracy"] == 1.0
 
     def test_sharded_eval_writes_the_same_bytes(self, tmp_path):
-        # at one BLAS thread per call, where evaluate shards: two chunks of a
-        # 128-unit network, the first cut into two shards when there are two
-        # workers, the second kept whole
+        # at one BLAS thread per call, as the benchmark runs: four chunks of
+        # a 128-unit network (64, 64, 64 and 8 trials), run by one worker
+        # and by two at once
         data_dir = tmp_path / "data"
         save_dataset(generate_dataset(TaskConfig(t_steps=60, seed=11), 200), data_dir)
         cfg = ModelConfig(n_units=128)
@@ -538,19 +602,19 @@ class TestEval:
         code = ("import sys\n"
                 "from ffrnn import cli, training\n"
                 "training._SHARD_WORKERS = int(sys.argv[1])\n"
-                "print(training._eval_bounds(128, training.ModelConfig(n_units=128)))\n"
+                "print(training._eval_chunk(128))\n"
                 "sys.exit(cli.main(sys.argv[2:]))\n")
         env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1"}
         written = []
-        for workers, bounds in ((1, "[(0, 128)]"), (2, "[(0, 64), (64, 128)]")):
+        for workers in (1, 2):
             out = tmp_path / f"m{workers}.json"
             proc = subprocess.run(
                 [sys.executable, "-c", code, str(workers), "eval", "--checkpoint",
                  str(tmp_path / "ckpt"), "--data", str(data_dir), "--out", str(out)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[0] == bounds
+            assert proc.stdout.splitlines()[0] == "64"
             written.append(out.read_bytes())
         assert written[0] == written[1]
 

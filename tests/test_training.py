@@ -333,13 +333,12 @@ def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, se
 @pytest.fixture
 def sharded(monkeypatch):
     """bptt_gradients cuts every batch of two trials or more into two
-    shards, and evaluate every chunk of eight trials or more, whatever the
-    BLAS thread count of the run and however few units the network has.
-    (BLAS runs GEMMs as small as these tests' on one thread whatever its
-    setting.)"""
+    shards, and evaluate runs chunks of 8 trials, two at a time, whatever
+    the BLAS thread count of the run and however few units the network
+    has."""
     monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
     monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
-    monkeypatch.setattr(training, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(training, "_EVAL_CHUNK", 8)
 
 
 def run_python(code, **env):
@@ -418,32 +417,13 @@ class TestShardedBptt:
         assert training._MIN_SHARD_STATES == 4096
         assert training._shard_bounds(batch, n) == bounds
 
-    @pytest.mark.parametrize("batch, n, workers, bounds", [
-        (128, 128, 2, [(0, 64), (64, 128)]),
-        (128, 160, 3, [(0, 40), (40, 84), (84, 128)]),   # cut at multiples of 4
-        # the 32- and 40-trial shards of a 128-unit chunk would take the
-        # small-matrix kernel, and so would the 56- and 48-trial first
-        # shards of these two chunks
-        (128, 128, 4, [(0, 64), (64, 128)]),
-        (116, 128, 2, [(0, 116)]),
-        (100, 128, 2, [(0, 100)]),
-        (128, 189, 2, [(0, 64), (64, 128)]),   # 192 columns
-        (128, 190, 2, [(0, 128)]),   # 193 columns
-        (127, 64, 2, [(0, 127)]),   # as _shard_bounds: too few states
-    ])
-    def test_eval_bounds(self, monkeypatch, batch, n, workers, bounds):
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
-        monkeypatch.setattr(training, "_BLAS_THREADS", 1)
-        assert training._MIN_SHARD_STATES == 4096
-        assert training._eval_bounds(batch, ModelConfig(n_units=n)) == bounds
-
-    def test_eval_runs_whole_under_threaded_blas(self, monkeypatch):
-        # a GEMM that BLAS splits over threads rounds its rows by how they
-        # fall on the threads
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
-        monkeypatch.setattr(training, "_BLAS_THREADS", 2)
-        assert training._eval_bounds(128, ModelConfig(n_units=128)) == [(0, 128)]
-        assert len(training._shard_bounds(128, 128)) == 2
+    def test_more_blas_threads_than_cores_is_one_worker(self):
+        # usable cores // threads per call is 0 here, and 0 workers would
+        # run no shard of a batch and no chunk of a dataset
+        cores = len(os.sched_getaffinity(0))
+        code = "from ffrnn import training\nprint(training._SHARD_WORKERS)\n"
+        assert run_python(code, OMP_NUM_THREADS=str(cores + 1),
+                          OPENBLAS_NUM_THREADS=str(cores + 1)).split() == ["1"]
 
     def test_one_worker_runs_the_batch_whole(self, monkeypatch):
         monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
@@ -833,14 +813,14 @@ class TestEvaluate:
         assert mask.mean() > 0.05
 
     def test_peak_memory_one_chunk(self):
-        # evaluate runs each chunk through one [_BLOCK_STEPS + 2, chunk, ...]
-        # buffer, which its shards share, and keeps only the chunk's
-        # readouts, so its peak is a small part of the one full-history
-        # buffer a chunk would otherwise fill
+        # each worker runs its chunks through one [_BLOCK_STEPS + 2, chunk,
+        # ...] buffer and keeps only one chunk's readouts, so the peak is a
+        # small part of one 128-trial full-history buffer, a bound that does
+        # not move with _EVAL_CHUNK
         task = TaskConfig(t_steps=300)
         mcfg = ModelConfig(n_units=64)
         params = init_params(mcfg, SeededRng(37))
-        trials = 3 * _EVAL_CHUNK
+        trials = 384
         x = SeededRng(38).gen.normal(size=(trials, 300, 3))
         ds = Dataset(x, np.zeros_like(x), task, [[] for _ in range(trials)])
         evaluate(params, mcfg, ds)
@@ -850,7 +830,7 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        full = (300 + 2) * _EVAL_CHUNK * (3 + 64 + 3 + 1) * 8
+        full = (300 + 2) * 128 * (3 + 64 + 3 + 1) * 8
         assert peak <= 0.3 * full, f"peak {peak / full:.2f} full-history buffers"
 
     # short trials, so that clean holds exist at transition pad 2
@@ -884,9 +864,11 @@ class TestEvaluate:
         return cfg, ds, mcfg, params
 
     @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
-    def test_chunked_matches_whole_dataset(self, task, model, trials, pad):
+    def test_chunked_matches_whole_dataset(self, monkeypatch, task, model,
+                                           trials, pad):
         # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
         # of _EVAL_CHUNK trials, batch_forward's here over all of them
+        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
         cfg, ds, mcfg, params = self.chunk_case(task, model, trials)
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
@@ -902,72 +884,130 @@ class TestEvaluate:
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_sharded_equals_serial(self, sharded, monkeypatch, workers,
                                    task, model, trials, pad):
-        # every trial's readouts come from the same row-wise GEMMs whatever
-        # shard it falls in, and the squared errors are summed over the
-        # whole chunk, so the metrics are the serial ones bit for bit
+        # a chunk's bounds and GEMMs do not depend on the worker count, and
+        # the chunk sums are added up in chunk order, so the metrics are
+        # the serial ones bit for bit
         _, ds, mcfg, params = self.chunk_case(task, model, trials)
         monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
         serial = evaluate(params, mcfg, ds, transition_pad=pad)
         monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
-        assert len(training._eval_bounds(min(trials, _EVAL_CHUNK), mcfg)) == workers
+        assert -(-trials // training._eval_chunk(mcfg.n_units)) >= workers
         assert evaluate(params, mcfg, ds, transition_pad=pad) == serial
 
-    def test_sharded_peak_memory_one_chunk(self, sharded):
+    def test_sharded_peak_memory_one_chunk(self, monkeypatch):
+        # two workers, each with the buffers of one 64-trial chunk
+        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        assert training._eval_chunk(64) == 64
         self.test_peak_memory_one_chunk()
+
+    @pytest.mark.parametrize("n, chunk", [(1, 4096), (8, 512), (32, 128),
+                                          (64, 64), (128, 64), (256, 64)])
+    def test_chunk_size(self, n, chunk):
+        # _EVAL_CHUNK trials, or enough for _MIN_SHARD_STATES state entries
+        assert (_EVAL_CHUNK, training._MIN_SHARD_STATES) == (64, 4096)
+        assert training._eval_chunk(n) == chunk
+
+    @pytest.mark.parametrize("n, trials, chunks", [
+        (128, 150, [64, 64, 22]), (128, 64, [64]), (32, 300, [128, 128, 44]),
+        (8, 3, [3]), (256, 1, [1])])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_run(self, monkeypatch, n, trials, chunks, workers):
+        # the chunks, in order, whatever the worker count; a dataset smaller
+        # than a chunk runs as one chunk of its size
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        mcfg = ModelConfig(n_units=n)
+        params = init_params(mcfg, SeededRng(48))
+        x = SeededRng(49).gen.normal(size=(trials, 40, 3))
+        starts, run_shard = [], training._eval_shard
+
+        def shard(w, config, xs, u, z):
+            starts.append((int(np.flatnonzero((x == xs[0]).all(axis=(1, 2)))[0]),
+                           len(xs)))
+            run_shard(w, config, xs, u, z)
+
+        monkeypatch.setattr(training, "_eval_shard", shard)
+        evaluate(params, mcfg, Dataset(x, np.zeros_like(x), TaskConfig(t_steps=40),
+                                       [[] for _ in range(trials)]))
+        assert sorted(starts) == list(zip(np.cumsum([0] + chunks[:-1]).tolist(), chunks))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_empty_dataset_is_nan(self, monkeypatch, workers):
+        # no trial: no chunk, no worker, and no number for either metric
+        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        cfg = TaskConfig(t_steps=40)
+        x = np.zeros((0, 40, 3))
+        metrics = evaluate(latch_params(), ModelConfig(n_units=3),
+                           Dataset(x, x.copy(), cfg, []))
+        assert math.isnan(metrics.mse) and math.isnan(metrics.state_accuracy)
+
+    @staticmethod
+    def chunk_readouts(params, mcfg, x):
+        """batch_forward's readouts, run over one chunk of evaluate at a
+        time."""
+        chunk = training._eval_chunk(mcfg.n_units)
+        return np.concatenate([batch_forward(params, mcfg, x[lo:lo + chunk])[1]
+                               for lo in range(0, len(x), chunk)])
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_one_chunk_matches_batch_forward_bitwise(self, dt):
         # every readout, block boundaries included, comes from a GEMM of the
-        # same shape as in batch_forward over the same trials, or, in
-        # shards, from GEMMs that round each row alike; with batch_forward's
-        # readouts as targets, any differing bit shows as a nonzero mse
+        # same shape as in batch_forward over the same trials; with
+        # batch_forward's readouts over each chunk as targets, any differing
+        # bit shows as a nonzero mse
         cfg = TaskConfig(seed=41, t_steps=3 * _BLOCK_STEPS + 5)
         ds = generate_dataset(cfg, 50)
         mcfg = ModelConfig(n_units=16, dt=dt)
         params = init_params(mcfg, SeededRng(42))
-        _, z = batch_forward(params, mcfg, ds.x)
+        z = self.chunk_readouts(params, mcfg, ds.x)
         assert evaluate(params, mcfg, Dataset(ds.x, z, cfg, ds.events)).mse == 0.0
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_sharded_chunk_matches_batch_forward_bitwise(self, sharded, dt):
-        assert training._eval_bounds(50, ModelConfig(n_units=16)) == [(0, 24), (24, 50)]
+        # seven chunks, the last of 2 trials, on two workers
+        assert training._eval_chunk(16) == 8
         self.test_one_chunk_matches_batch_forward_bitwise(dt)
 
-    def test_sharded_matches_batch_forward_at_network_sizes(self):
-        # at one BLAS thread per call, as evaluate shards, and at the sizes
-        # where BLAS picks its GEMM kernel by the size of the GEMM: the cuts
-        # of _eval_bounds keep every readout bit for bit. Each line printed
-        # is units, trials, workers, shards and the mse against
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_workers_match_at_network_sizes(self, threads):
+        # in a fresh interpreter at 1 and at 2 BLAS threads per call, with
+        # 2-4 workers forced at either: the metrics equal the one-worker
+        # ones, and every chunk's readouts equal batch_forward's over that
+        # chunk. Each line printed is units, trials, workers, whether the
+        # metrics equal the one-worker ones, and the mse against
         # batch_forward's readouts
         code = """
+import numpy as np
 from ffrnn import training
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, batch_forward, init_params
 from ffrnn.task import Dataset, TaskConfig
-assert training._BLAS_THREADS == 1
 cfg = TaskConfig(t_steps=training._BLOCK_STEPS + 8)
-for n in (64, 96, 128, 160, 189, 192):
+for n in (8, 16, 64, 128, 200, 256):
     mcfg = ModelConfig(n_units=n)
     params = init_params(mcfg, SeededRng(46))
-    for trials in (44, 100, 116, 128):
-        x = SeededRng(47).gen.normal(size=(trials, cfg.t_steps, 3))
-        _, z = batch_forward(params, mcfg, x)
-        data = Dataset(x, z, cfg, [[] for _ in range(trials)])
-        for workers in (2, 3, 4):
+    chunk = training._eval_chunk(n)
+    for trials in (1, 63, 65, 130, 300):
+        rng = SeededRng(47 + trials)
+        x = rng.gen.normal(size=(trials, cfg.t_steps, 3))
+        signs = Dataset(x, np.sign(rng.gen.normal(size=x.shape)), cfg,
+                        [[] for _ in range(trials)])
+        z = np.concatenate([batch_forward(params, mcfg, x[lo:lo + chunk])[1]
+                            for lo in range(0, trials, chunk)])
+        readouts = Dataset(x, z, cfg, signs.events)
+        for workers in (1, 4, 3, 2):   # the pool is made for 4
             training._SHARD_WORKERS = workers
-            shards = len(training._eval_bounds(trials, mcfg))
-            mse = training.evaluate(params, mcfg, data).mse
-            print(n, trials, workers, shards, mse)
+            metrics = training.evaluate(params, mcfg, signs)
+            if workers == 1:
+                serial = metrics
+            mse = training.evaluate(params, mcfg, readouts).mse
+            print(n, trials, workers, metrics == serial, mse)
 """
         lines = [line.split() for line in
-                 run_python(code, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                            MKL_NUM_THREADS="1").splitlines()]
-        assert len(lines) == 6 * 4 * 3
+                 run_python(code, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                            MKL_NUM_THREADS=threads).splitlines()]
+        assert len(lines) == 6 * 5 * 4
+        assert {equal for *_, equal, _ in lines} == {"True"}
         assert {float(mse) for *_, mse in lines} == {0.0}
-        sharded = {(n, trials, workers) for n, trials, workers, shards, _ in lines
-                   if int(shards) > 1}
-        assert len(sharded) == 27
-        assert ("128", "128", "2") in sharded
 
     def test_concurrent_equals_serial(self, sharded, monkeypatch):
         # 4 shards on 3 workers plus the caller, more threads than cores,
@@ -980,7 +1020,7 @@ for n in (64, 96, 128, 160, 189, 192):
         expected = evaluate(params, mcfg, ds, transition_pad=2)
         assert not math.isnan(expected.state_accuracy)
         monkeypatch.setattr(training, "_SHARD_WORKERS", 4)
-        assert len(training._eval_bounds(_EVAL_CHUNK, mcfg)) == 4
+        assert -(-len(ds.x) // training._eval_chunk(mcfg.n_units)) >= 4
         pool = ThreadPoolExecutor(max_workers=3)
         monkeypatch.setattr(training, "_POOL", pool)
         results = []
@@ -1004,14 +1044,15 @@ for n in (64, 96, 128, 160, 189, 192):
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_failing_shard_raises_after_every_shard(self, sharded, monkeypatch,
                                                     failing):
-        # the first shard runs on the calling thread, the others on the pool
+        # three chunks on three workers: the first runs on the calling
+        # thread, the others on the pool
         cfg = TaskConfig(seed=43, t_steps=40)
         ds = generate_dataset(cfg, 30)
         mcfg = ModelConfig(n_units=8)
         params = init_params(mcfg, SeededRng(44))
         monkeypatch.setattr(training, "_SHARD_WORKERS", 3)
-        starts = [lo for lo, _ in training._eval_bounds(30, mcfg)]
-        assert len(starts) == 3
+        monkeypatch.setattr(training, "_EVAL_CHUNK", 10)
+        starts = [0, 10, 20]
         finished = []
         run_shard = training._eval_shard
 
@@ -1035,8 +1076,8 @@ for n in (64, 96, 128, 160, 189, 192):
             pool.shutdown()
 
     def test_probe_makes_no_pool(self):
-        # the probe of `ffrnn eval` is one trial, which is never cut into
-        # shards, however many workers there are
+        # the probe of `ffrnn eval` is one trial, so one chunk, which runs
+        # on the calling thread however many workers there are
         code = ("import sys\n"
                 "from ffrnn import training\n"
                 "from ffrnn.linalg import SeededRng\n"
@@ -1044,7 +1085,6 @@ for n in (64, 96, 128, 160, 189, 192):
                 "from ffrnn.task import TaskConfig, generate_probe\n"
                 "training._SHARD_WORKERS = 4\n"
                 "training._MIN_SHARD_STATES = 1\n"
-                "training._BLAS_THREADS = 1\n"
                 "mcfg = ModelConfig(n_units=128)\n"
                 "params = init_params(mcfg, SeededRng(45))\n"
                 "training.evaluate(params, mcfg, generate_probe(TaskConfig()))\n"

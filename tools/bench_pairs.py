@@ -10,9 +10,13 @@ pair, so a slow drift of the machine weighs on both alike. ``run.py`` pins
 BLAS to one thread. For every end-to-end metric of ``BENCHMARK.json`` the
 output holds the median, quartiles, minimum and maximum of each side (so a
 metric whose runs fall in two clusters shows without reading the runs),
-the median change, and the number of pairs the new code won. Workloads
-already in ``--out`` are kept, so the workloads can be run one at a time
-into the same file.
+the median change, and the number of pairs the new code won. Two verdicts
+read the direction the metric is better in: ``claimable`` (at least 9 of
+10 pairs won, and the median moved the better way by more than the
+parent's interquartile range) and ``worse_than_bound`` (the median moved
+the worse way by more than the metric's relative ``bound``; null for a
+metric without one). Workloads already in ``--out`` are kept, so the
+workloads can be run one at a time into the same file.
 
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
@@ -89,7 +93,8 @@ def spread(values: list) -> dict:
 
 def summarise(runs: dict, metrics: list) -> dict:
     """Per metric: both sides' spread, the median change, pairs won by the
-    change, and whether that change is larger than the parent's IQR."""
+    change, whether that change is larger than the parent's IQR in either
+    direction, and the two verdicts that read the better direction."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -97,12 +102,19 @@ def summarise(runs: dict, metrics: list) -> dict:
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         a, b = spread(old), spread(new)
         wins = sum((n > o) if higher else (n < o) for o, n in zip(old, new))
+        # how far the median moved the better way; negative when worse
+        gain = (b["median"] - a["median"]) * (1 if higher else -1)
+        iqr = a["q3"] - a["q1"]
+        bound = metric.get("bound")
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": a, "change": b,
             "median_change": b["median"] / a["median"] - 1.0 if a["median"] else None,
             "change_wins": wins,
-            "exceeds_parent_iqr": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+            "exceeds_parent_iqr": abs(gain) > iqr,
+            "claimable": 10 * wins >= 9 * len(old) and gain > iqr,
+            "worse_than_bound": (None if bound is None
+                                 else -gain > bound * abs(a["median"])),
         }
     return out
 
