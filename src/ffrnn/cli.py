@@ -247,14 +247,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser(defaults=None):
-    """The full parser, and the dests of every subcommand's flags;
-    ``defaults`` (flag dest -> value) override the defaults of every
-    subcommand."""
+    """The full parser, and each subcommand's flags (subcommand name ->
+    flag dest -> argparse Action); ``defaults`` (flag dest -> value)
+    override the defaults of every subcommand."""
     defaults = defaults or {}
-    flags = set()
+    actions = {}
 
     def flag(p, *names, **kwargs):
-        flags.add(p.add_argument(*names, **kwargs).dest)
+        action = p.add_argument(*names, **kwargs)
+        actions.setdefault(p, {})[action.dest] = action
 
     parser = argparse.ArgumentParser(
         prog="ffrnn",
@@ -335,15 +336,16 @@ def build_parser(defaults=None):
     flag(p, "--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck, **defaults)
 
-    return parser, flags
+    return parser, {name: actions[p] for name, p in sub.choices.items()}
 
 
-def _config_defaults(path, args, flags) -> dict:
-    """The flags of ``args``' subcommand that the JSON file ``path`` sets, as
-    parser defaults. Numbers go as text, so each flag's ``type=`` converts or
-    rejects them as it does a typed flag; true/false fit only on/off flags.
-    A key that is a flag of another subcommand is left for that one, so one
-    file can serve several commands; a key in no subcommand's ``flags`` is
+def _config_defaults(path, command, flags) -> dict:
+    """The flags of subcommand ``command`` that the JSON file ``path`` sets,
+    as parser defaults. Each value goes through its flag's ``type`` as
+    command-line text would, and one the type rejects raises ValueError;
+    true/false fit only on/off flags. A key that is a flag of another
+    subcommand (``flags``, from ``build_parser``) is left for that one, so
+    one file can serve several commands; a key of no subcommand is
     rejected."""
     try:
         with open(path) as fh:
@@ -352,16 +354,25 @@ def _config_defaults(path, args, flags) -> dict:
         raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} does not hold a table of flags")
-    unknown = sorted(set(values) - flags)
+    unknown = sorted(set(values).difference(*flags.values()))
     if unknown:
         raise ValueError(f"config file {path}: {unknown[0]!r} is a flag of no command")
-    defaults = {}
-    for key in sorted(set(values) & (set(vars(args)) - {"command", "config", "func"})):
-        value, switch = values[key], isinstance(getattr(args, key), bool)
+    defaults, actions = {}, flags[command]
+    for key in sorted(set(values) & set(actions)):
+        value, action = values[key], actions[key]
+        switch = isinstance(action.default, bool)
         if type(value) not in ((bool,) if switch else (int, float, str)):
             raise ValueError(f"config file {path}: {key!r} takes " + (
                 "true or false" if switch else "a number or text") + f", got {value!r}")
-        defaults[key] = value if switch else str(value)
+        if switch:
+            defaults[key] = value
+            continue
+        convert = action.type or str
+        try:
+            defaults[key] = convert(str(value))
+        except ValueError:
+            raise ValueError(f"config file {path}: invalid {convert.__name__} value "
+                             f"for {action.option_strings[0]}: {value!r}") from None
     return defaults
 
 
@@ -371,7 +382,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # flags given on the command line still win over the file's
-            defaults = _config_defaults(args.config, args, flags)
+            defaults = _config_defaults(args.config, args.command, flags)
             args = build_parser(defaults)[0].parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -18,11 +18,11 @@ readout of h_t and the pre-activation a_t together, followed by tanh
 (``_recurrence``). The caller builds the step matrix once per call
 (``_step_matrix``) and leaves the start state in row 0: ``batch_forward``
 and ``training.bptt_gradients`` zero it, and ``training.evaluate`` carries
-the last state of one block of steps into the next. ``bptt_gradients`` runs
-the recurrence on several shards of a batch at once, each in its own part of
-one buffer, and its gradients depend on the shard count at the ulp level.
-``evaluate`` runs several fixed-size chunks of trials at once, each worker
-in buffers of its own, and its metrics never depend on the worker count.
+the last state of one block of steps into the next. Where BLAS leaves a core
+idle, ``bptt_gradients`` and ``evaluate`` run the recurrence on several
+chunks of trials at once, cut by the trial count and the network size
+alone. So the gradients depend on the number of cores only by whether BLAS
+leaves one idle, and the metrics not at all.
 """
 
 from __future__ import annotations

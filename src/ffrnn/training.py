@@ -121,9 +121,9 @@ def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
     trials of ``t_steps`` steps: two flat float64 arrays, one for the
     forward history and one for a block of the backward sweep. A call on
-    b trials uses the prefix that b trials fill; when it splits the batch
-    into shards, each shard takes its own consecutive part of that prefix,
-    laid out as a fresh buffer for its trials would be."""
+    b trials uses the prefix that b trials fill; when it cuts the batch
+    into chunks, each worker takes its own consecutive part of that prefix,
+    laid out as a fresh buffer for its first chunk would be."""
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
     return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
             np.empty((min(t_steps, _BLOCK_STEPS) + 1) * batch * (n_out + n)))
@@ -148,76 +148,81 @@ def _blas_threads() -> int:
     return _usable_cores()
 
 
-# fewest state entries (trials x units) per step in a shard of
-# bptt_gradients or a chunk of evaluate. Smaller shards lose more to the
-# per-step costs that every shard repeats than the second core gains: at
-# one BLAS thread on 2 cores and 300 steps, two shards of bptt_gradients ran
-# at 0.73-0.87x the whole batch's speed at 2,048 entries (16 trials x 128
-# units, 32 x 64, 64 x 32), and at 1.08-1.30x at 4,096 (64 x 64, 32 x 128)
-# but 0.96x at 128 x 32.
-_MIN_SHARD_STATES = 4096
-# the shards that bptt_gradients, and the chunks that evaluate, run at
-# once, at most, the calling thread's included: usable cores // threads per
-# BLAS call. BLAS reads its thread count once at start-up, so this is read
-# once at import too. At 1 every batch runs whole: one core per BLAS call
-# leaves no core idle.
-_SHARD_WORKERS = max(1, _usable_cores() // _blas_threads())
-# Runs every shard but the first, which the calling thread runs itself
-# (_run_shards). It is made, and concurrent.futures imported, on the first
-# call that runs two shards or chunks at once (_shard_pool). Workers call
-# only private functions (_bptt_shard, _eval_chunks, _eval_shard and
-# model._recurrence): the benchmark's tracer wraps the public ones and
-# keeps a single stack of open spans, which calls from two threads at once
-# would interleave.
+# fewest trials per chunk of bptt_gradients and evaluate
+_CHUNK_TRIALS = 64
+# fewest state entries (trials x units) per step in a chunk. Smaller chunks
+# lose more to the per-step costs that every chunk repeats than the second
+# core gains: at one BLAS thread on 2 cores and 300 steps, a batch cut in
+# two ran at 0.73-0.87x the whole batch's speed at 2,048 entries per part
+# (16 trials x 128 units, 32 x 64, 64 x 32), and at 1.08-1.30x at 4,096
+# (64 x 64, 32 x 128) but 0.96x at 128 x 32.
+_MIN_CHUNK_STATES = 4096
+# the chunks run at once, at most, the calling thread's included: usable
+# cores // threads per BLAS call. BLAS reads its thread count once at
+# start-up, so this is read once at import too. At 1, one core per BLAS call
+# leaves no core idle, and bptt_gradients runs every batch whole.
+_CHUNK_WORKERS = max(1, _usable_cores() // _blas_threads())
+# Runs every worker but the first, which is the calling thread
+# (_run_chunks). It is made, and concurrent.futures imported, on the first
+# call that runs two chunks at once (_chunk_pool). Workers call only
+# private functions (_bptt_chunk, _forward_chunk, model._recurrence): the
+# benchmark's tracer wraps the public ones and keeps a single stack of open
+# spans, which calls from two threads at once would interleave.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
-def _shard_pool():
+def _chunk_pool():
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(max_workers=_SHARD_WORKERS - 1,
-                                       thread_name_prefix="ffrnn-shard")
+            _POOL = ThreadPoolExecutor(max_workers=_CHUNK_WORKERS - 1,
+                                       thread_name_prefix="ffrnn-chunk")
         return _POOL
 
 
-def _shard_bounds(batch: int, n_units: int) -> list:
-    """[lo, hi) trial ranges of the shards of a batch: as many contiguous
-    ranges of near-equal size as there are workers, fewer where a range
-    would hold fewer than _MIN_SHARD_STATES state entries or no trial; with
-    one, the whole batch."""
-    shards = min(_SHARD_WORKERS, batch, batch * n_units // _MIN_SHARD_STATES)
-    if shards < 2:
-        return [(0, batch)]
-    parts = np.array_split(np.arange(batch), shards)
-    return [(int(p[0]), int(p[-1]) + 1) for p in parts]
+def _chunk_bounds(trials: int, n_units: int) -> list:
+    """[lo, hi) ranges of the chunks of ``trials`` trials: the fewest
+    contiguous ranges of near-equal size, larger ones first, that hold at
+    most max(_CHUNK_TRIALS, ceil(_MIN_CHUNK_STATES / n_units)) trials each
+    (as ``np.array_split`` cuts them); none for no trial. They depend on
+    the trial count and the network size alone, never on the workers."""
+    chunks = -(-trials // max(_CHUNK_TRIALS, -(-_MIN_CHUNK_STATES // n_units)))
+    if not chunks:
+        return []
+    size, larger = divmod(trials, chunks)
+    return [(k * size + min(k, larger), (k + 1) * size + min(k + 1, larger))
+            for k in range(chunks)]
 
 
-def _run_shards(fn, shards: list) -> list:
-    """[fn(*args) for args in shards], run at once: the first on the
-    calling thread, the others on the pool, which a single shard (or none)
-    never makes. Waits for every shard before it returns or raises, so no
-    worker still writes into a shard's buffers afterwards; the first error,
-    in shard order, is raised."""
-    futures = [_shard_pool().submit(fn, *args) for args in shards[1:]]
+def _run_chunks(run, bounds: list, alloc) -> list:
+    """[run(lo, hi, *buffers) for lo, hi in bounds], in chunk order.
+
+    Worker k of W = min(_CHUNK_WORKERS, chunks) runs chunks k, k + W, ...
+    one after another, all through the buffers ``alloc(lo, hi)`` of its
+    first chunk [lo, hi), the largest it runs. The calling thread allocates
+    them all: glibc keeps what a pool thread frees in that thread's own
+    arena, where the next round of training does not reuse it (train-128's
+    peak RSS rose 1.8 MB). Worker 0 is the calling thread, the others run
+    on the pool, which a single chunk (or none) never makes. Waits for
+    every worker before it returns or raises, so none still writes into
+    its buffers afterwards; the first error, in worker order, is raised.
+    """
+    workers = max(1, min(_CHUNK_WORKERS, len(bounds)))
+    buffers = [alloc(lo, hi) for lo, hi in bounds[:workers]]
+
+    def run_worker(k):
+        return [run(lo, hi, *buffers[k]) for lo, hi in bounds[k::workers]]
+
+    futures = [_chunk_pool().submit(run_worker, k) for k in range(1, workers)]
     try:
-        results = [fn(*args) for args in shards[:1]]
+        results = [run_worker(0)]
     finally:
         for future in futures:
             future.exception()
-    return results + [f.result() for f in futures]
-
-
-def _divergence(states: list) -> DivergenceError:
-    """The error for a non-finite loss over shards whose [t_steps, trials, n]
-    states are ``states``: it names the first step at which any shard has a
-    non-finite state, if there is one."""
-    finite = np.all([np.isfinite(h).all(axis=(1, 2)) for h in states], axis=0)
-    if not finite.all():
-        return DivergenceError(f"non-finite activations at step {int(np.argmin(finite))}")
-    return DivergenceError("non-finite loss")
+    results += [future.result() for future in futures]
+    return [results[i % workers][i // workers] for i in range(len(bounds))]
 
 
 def bptt_gradients(params: RnnParams, config: ModelConfig,
@@ -240,26 +245,24 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     GEMM, [err | d]^T @ [h | x | 1] over its rows (the newest block's also
     over row t_steps), adds them to all five gradients together: its top
     n_out rows, times scale, those of W_out and b_out, and its other rows
-    those of W_rec, W_in and b_rec (``_bptt_shard``).
+    those of W_rec, W_in and b_rec (``_bptt_chunk``).
 
-    When BLAS runs fewer threads per call than there are usable cores
-    (``_SHARD_WORKERS`` >= 2), the batch is cut into up to
-    ``_SHARD_WORKERS`` contiguous shards of near-equal size, each of at
-    least ``_MIN_SHARD_STATES`` trials x units (``_shard_bounds``). They run
-    this sweep at once, the first on the calling thread and the others on a
-    pool (``_run_shards``), each on its own part of the buffers. The step
-    matrices are built once per call, on the calling thread. Every shard
-    scales by the whole batch's size, so the gradients and the squared-error
-    sums are added up in shard order, and the result depends only on the
-    batch and the shard count, never on how the threads were scheduled.
-    Unlike ``evaluate``'s metrics, the gradients do depend on the shard
-    count, at the ulp level: each shard's weight-gradient GEMMs sum over its
-    own trials. Otherwise the batch runs whole.
+    When BLAS leaves a core idle (``_CHUNK_WORKERS`` >= 2), the batch is
+    cut into ``evaluate``'s chunks (``_chunk_bounds``), which run this
+    sweep on the workers of ``_run_chunks``, worker k in its own
+    consecutive part of the buffers. The step matrices are built once per
+    call, on the calling thread. Every chunk scales by the whole batch's
+    size, and the gradients and the squared-error sums are added up in
+    chunk order. So the result depends on the batch, the network size and
+    whether BLAS leaves a core idle, never on the number of cores or on
+    how the threads were scheduled. Otherwise the batch runs whole: one
+    worker running two chunks one after another is slower than the whole
+    batch.
 
     The loss is summed block by block, before the block's steps run. A
     non-finite loss raises a DivergenceError naming the first step with a
-    non-finite activation in any shard, if any; the call waits for every
-    shard first. ``work`` (from ``bptt_workspace``) supplies the buffers;
+    non-finite activation in any chunk, if any; the call waits for every
+    chunk first. ``work`` (from ``bptt_workspace``) supplies the buffers;
     without it they are allocated per call. Returns (grads, batch_loss)
     where grads mirrors RnnParams.
     """
@@ -279,22 +282,28 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
 
     w = _step_matrix(params)
     w_back = np.concatenate([scale * params.w_out, params.w_rec])
-    shards, u_at, ring_at = [], 0, 0
-    for lo, hi in _shard_bounds(batch, n):
-        u = _time_major(t_steps + 2, hi - lo, n_out + n + n_in + 1, work[0][u_at:])
-        ring = _time_major(min(t_steps, _BLOCK_STEPS) + 1, hi - lo, n_out + n,
-                           work[1][ring_at:])
-        u_at, ring_at = u_at + u.size, ring_at + ring.size
-        shards.append((w, w_back, config, batch_x[lo:hi], batch_y[lo:hi], u, ring))
-    results = _run_shards(_bptt_shard, shards)
+    rows, ring_rows = t_steps + 2, min(t_steps, _BLOCK_STEPS) + 1
+    width = n_out + n + n_in + 1
+
+    def run(lo, hi, u, ring):
+        return _bptt_chunk(w, w_back, config, batch_x[lo:hi], batch_y[lo:hi],
+                           _time_major(rows, hi - lo, width, u),
+                           _time_major(ring_rows, hi - lo, n_out + n, ring))
+
+    # the trials before a worker's first chunk take the workspace before its part
+    results = _run_chunks(
+        run, _chunk_bounds(batch, n) if _CHUNK_WORKERS > 1 else [(0, batch)],
+        lambda lo, hi: (work[0][lo * rows * width:],
+                        work[1][lo * ring_rows * (n_out + n):]))
 
     if any(g is None for g, _ in results):
-        raise _divergence([u[1:t_steps + 1, :, n_out:n_out + n]
-                           for *_, u, _ in shards])
+        steps = [step for g, step in results if g is None and step is not None]
+        raise DivergenceError(f"non-finite activations at step {min(steps)}"
+                              if steps else "non-finite loss")
     g, squared = results[0]
-    for g_shard, squared_shard in results[1:]:
-        g += g_shard
-        squared += squared_shard
+    for g_chunk, squared_chunk in results[1:]:
+        g += g_chunk
+        squared += squared_chunk
     batch_loss = squared / batch_y.size
 
     g_w_out = g[:n_out, :n] * scale
@@ -306,19 +315,21 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     return RnnParams(g_w_in, g_w_rec, g_w_out, g_b_rec, g_b_out), batch_loss
 
 
-def _bptt_shard(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
+def _bptt_chunk(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
                 batch_x: np.ndarray, batch_y: np.ndarray, u: np.ndarray,
                 ring: np.ndarray):
     """The forward pass and the blocked backward sweep of ``bptt_gradients``
-    over the trials of one shard, in its [t_steps + 2, trials, ...] history
+    over the trials of one chunk, in its [t_steps + 2, trials, ...] history
     ``u`` and its [min(t_steps, _BLOCK_STEPS) + 1, trials, n_out + n] ring,
     with the forward step matrix ``w`` (``model._step_matrix``) and the
     backward one ``w_back`` = [scale * W_out; W_rec].
 
     Returns (g, squared): the [n_out + n, n + n_in + 1] sum of the blocks'
     [err | d]^T @ [h | x | 1] GEMMs, and the sum of the blocks' squared
-    readout errors. Once a block's sum is not finite, the sweep stops before
-    that block's steps and returns (None, that sum).
+    readout errors. Once a block's sum is not finite, the sweep stops
+    before that block's steps and returns (None, the first step with a
+    non-finite activation, or None if there is none), read before the
+    worker's next chunk overwrites the history.
     """
     batch, t_steps, _ = batch_x.shape
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
@@ -350,10 +361,10 @@ def _bptt_shard(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
             ring[0, :, :n_out] = 0.0
         block_loss = float(np.sum(np.square(err)))   # pairwise summation
         # tanh is bounded, so a non-finite activation always makes the loss
-        # non-finite; only then does the caller scan the steps for the
-        # first bad one
+        # non-finite; only then are the steps scanned for the first bad one
         if not np.isfinite(block_loss):
-            return None, block_loss
+            finite = np.isfinite(h[1:t_steps + 1]).all(axis=(1, 2))
+            return None, (None if finite.all() else int(np.argmin(finite)))
         squared += block_loss
 
         for t in range(hi - 1, lo - 1, -1):
@@ -414,19 +425,15 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     A trailing ``eval_fraction`` of the samples is held out of training and
     used for the report's final metrics. Update k of the run uses the
     learning rate ``train_cfg.learning_rate_at(k, total_updates)``. Every
-    epoch is shuffled by a stream derived from (seed, epoch), so runs are
-    bit-reproducible on the same machine and thread setting.
+    epoch is shuffled by a stream derived from (seed, epoch).
 
     Every batch's gradients come from one set of ``bptt_workspace``
     buffers, sized for the largest batch and freed before the held-out
-    ``evaluate``. ``bptt_gradients`` splits a batch into as many shards as
-    usable cores // BLAS threads per call (read at import), fewer for small
-    batches, and the shard count changes the trained values at the ulp
-    level. So a run repeats bit for bit only with the same BLAS thread
-    setting and the same number of usable cores (``os.sched_getaffinity``,
-    which ``taskset`` also changes). The held-out ``evaluate`` runs its
-    chunks on as many workers, but its metrics for given parameters never
-    depend on the worker count.
+    ``evaluate``. ``bptt_gradients`` cuts a batch into chunks only where
+    BLAS leaves a core idle, and the chunks depend on the batch and network
+    sizes alone. So a run repeats bit for bit on the same machine and BLAS
+    thread setting, and the number of usable cores changes the trained
+    values only by whether BLAS leaves one idle, or through BLAS itself.
     ``epoch_hook(epoch, params, epoch_loss)`` is invoked after every epoch
     when given.
     """
@@ -491,24 +498,12 @@ def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     window also covers a trailing pulse whose delayed target flip lands
     beyond the horizon.
     """
-    mask = np.all(np.abs(y) == 1.0, axis=2)
+    mask = np.all((y == 1.0) | (y == -1.0), axis=2)
     span = config.pulse_width + config.delay_steps + pad + 1
     for i, trial_events in enumerate(events):
         for onset, _, _ in trial_events:
             mask[i, onset:onset + span] = False
     return mask
-
-
-# fewest trials per chunk of evaluate; a chunk also holds at least
-# _MIN_SHARD_STATES state entries per step (_eval_chunk)
-_EVAL_CHUNK = 64
-
-
-def _eval_chunk(n_units: int) -> int:
-    """Trials per chunk of ``evaluate`` for a network of ``n_units``: the
-    last chunk, or a dataset of fewer trials, holds the rest. It depends on
-    the network size alone, never on the worker count."""
-    return max(_EVAL_CHUNK, -(-_MIN_SHARD_STATES // n_units))
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -521,24 +516,22 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     target on all channels; it is NaN when no step is a clean hold. Both
     are NaN for a dataset of no trials.
 
-    The forward pass runs ``_eval_chunk(n_units)`` trials at a time, each
-    chunk in blocks of ``_BLOCK_STEPS`` steps through a
+    The forward pass runs one chunk of trials (``_chunk_bounds``) at a
+    time, in blocks of ``_BLOCK_STEPS`` steps through a
     [_BLOCK_STEPS + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
     starts each block from the state in row 0, and the block's last state
-    goes there for the next one (``_eval_shard``). Only the chunk's readouts
-    are kept, so memory does not grow with the number of trials or of steps.
-    The readout of a block's last state is taken from the next block's first
-    step GEMM, as ``batch_forward`` takes it. So a chunk's readouts equal
-    those of ``batch_forward`` over that chunk bit for bit.
+    goes there for the next one (``_forward_chunk``). Only the chunk's
+    readouts are kept, so memory does not grow with the number of trials or
+    of steps. The readout of a block's last state is taken from the next
+    block's first step GEMM, as ``batch_forward`` takes it. So a chunk's
+    readouts equal those of ``batch_forward`` over that chunk bit for bit.
 
-    When BLAS leaves a core idle, the chunks run at once: worker k of
-    W = min(_SHARD_WORKERS, chunks) runs chunks k, k + W, ... one after
-    another through one block buffer and one readout array of its own,
-    sized to its largest chunk, and scores each (``_eval_chunks``); the
-    first worker runs on the calling thread, the others on a pool
-    (``_run_shards``). The chunk sums are then added up in chunk order. A
-    chunk's bounds and GEMMs do not depend on the worker count, so neither
-    do the metrics, unlike the gradients of ``bptt_gradients``.
+    The chunks run on the workers of ``_run_chunks``, each worker through
+    one block buffer and one readout array, and each chunk is scored on its
+    worker, with no float temporaries: the squared errors overwrite the
+    readouts once the sign test has read them. The chunk sums are added up
+    in chunk order. A chunk's bounds and GEMMs do not depend on the worker
+    count, so neither do the metrics.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -554,53 +547,32 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     trials, t_steps, _ = x.shape
     n_out = model_cfg.n_out
     width = n_out + model_cfg.n_units + model_cfg.n_in + 1
-    chunk = _eval_chunk(model_cfg.n_units)
-    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    workers = min(_SHARD_WORKERS, len(bounds))
     w = _step_matrix(params)
-    # The calling thread allocates every worker's buffers: glibc keeps what
-    # a pool thread frees in that thread's own arena, where the next round
-    # of training does not reuse it (train-128's peak RSS rose 1.8 MB).
-    # Worker k's first chunk is its largest.
-    results = _run_shards(_eval_chunks, [
-        (w, model_cfg, x, y, events, cfg, transition_pad, bounds[k::workers],
-         np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
-         np.empty((hi - lo, t_steps, n_out)))
-        for k, (lo, hi) in enumerate(bounds[:workers])])
+
+    def run(lo, hi, flat, readouts):
+        z, ys = readouts[:hi - lo], y[lo:hi]
+        _forward_chunk(w, model_cfg, x[lo:hi],
+                       _time_major(_BLOCK_STEPS + 2, hi - lo, width, flat), z)
+        valid = _clean_hold_mask(events[lo:hi], ys, cfg, transition_pad)
+        # sign(z) == ys wherever ys is +-1, as on every clean hold
+        ok = np.where(ys > 0, z > 0, z < 0).all(axis=2) & valid
+        np.subtract(z, ys, out=z)
+        np.square(z, out=z)
+        return float(np.sum(z)), int(ok.sum()), int(valid.sum())
+
+    results = _run_chunks(run, _chunk_bounds(trials, model_cfg.n_units),
+                          lambda lo, hi: (np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
+                                          np.empty((hi - lo, t_steps, n_out))))
     squared, matched, considered = 0.0, 0, 0
-    for i in range(len(bounds)):   # in chunk order
-        s, m, c = results[i % workers][i // workers]
+    for s, m, c in results:   # in chunk order
         squared, matched, considered = squared + s, matched + m, considered + c
     mse = squared / y.size if y.size else float("nan")
     accuracy = matched / considered if considered else float("nan")
     return EvalMetrics(mse=mse, state_accuracy=accuracy)
 
 
-def _eval_chunks(w: np.ndarray, config: ModelConfig, x: np.ndarray,
-                 y: np.ndarray, events, task, pad: int, bounds: list,
-                 flat: np.ndarray, readouts: np.ndarray) -> list:
-    """Runs the [lo, hi) trial ranges ``bounds`` of ``evaluate``'s inputs
-    ``x`` one after another (``_eval_shard``), each through a block buffer
-    laid out in a prefix of the 1-D array ``flat`` and through the first
-    rows of the [rows, t_steps, n_out] array ``readouts``, and scores each
-    against the targets ``y`` on the clean holds of ``events``
-    (``_clean_hold_mask``). Returns each range's (sum of squared errors,
-    clean hold steps matched, clean hold steps)."""
-    width = config.n_out + config.n_units + config.n_in + 1
-    sums = []
-    for lo, hi in bounds:
-        z, ys = readouts[:hi - lo], y[lo:hi]
-        _eval_shard(w, config, x[lo:hi],
-                    _time_major(_BLOCK_STEPS + 2, hi - lo, width, flat), z)
-        valid = _clean_hold_mask(events[lo:hi], ys, task, pad)
-        ok = np.all(np.sign(z) == ys, axis=2)
-        sums.append((float(np.sum((z - ys) ** 2)), int((ok & valid).sum()),
-                     int(valid.sum())))
-    return sums
-
-
-def _eval_shard(w: np.ndarray, config: ModelConfig, x: np.ndarray,
-                u: np.ndarray, z: np.ndarray) -> None:
+def _forward_chunk(w: np.ndarray, config: ModelConfig, x: np.ndarray,
+                   u: np.ndarray, z: np.ndarray) -> None:
     """``evaluate``'s forward pass over the [trials, t_steps, n_in] inputs
     ``x`` of one chunk, from the zero state, in blocks of ``_BLOCK_STEPS``
     steps through the [_BLOCK_STEPS + 2, trials, ...] buffer ``u``, with the

@@ -23,6 +23,16 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def with_src_on_path():
+    """This process's environment, with the ``src/`` that its ffrnn comes
+    from first on PYTHONPATH, so a fresh interpreter imports the same
+    ffrnn from a plain checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(training.__file__)), env.get("PYTHONPATH", "")])
+    return env
+
+
 def gen_args(out, samples=5, steps=60, seed=1, noise=0.05, **extra):
     args = ["gen", "--samples", samples, "--steps", steps, "--seed", seed,
             "--noise", noise, "--out", out]
@@ -431,6 +441,19 @@ def test_bad_input_exits_2(tmp_path, small_data, make_args, message, capsys):
     assert not list(tmp_path.rglob("*.tmp*"))
 
 
+@pytest.mark.parametrize("values, command, message", [
+    ({"pad": "x"}, ["eval", "--checkpoint", "x"], "invalid int value for --pad: 'x'"),
+    ({"pad": float("nan")}, ["eval", "--checkpoint", "x"],
+     "invalid int value for --pad: nan"),
+    ({"units": "x"}, ["gradcheck"], "invalid int value for --units: 'x'"),
+])
+def test_config_value_its_flag_rejects_returns_2(tmp_path, capsys, values, command,
+                                                  message):
+    # main returns 2 and raises nothing: no SystemExit from argparse
+    assert run_cli(*config_file_args(tmp_path, values, *command)) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def small_ckpt(tmp_path_factory):
     """A 4-unit checkpoint and its manifest's model section."""
@@ -516,15 +539,15 @@ CONFIG_VALUES = st.recursive(
 @given(command=st.sampled_from([["gradcheck"], ["eval", "--checkpoint", "ckpt"]]),
        values=st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=4))
 def test_fuzzed_config_file_exits_0_2_or_3(config_root, command, values):
-    # a run that argparse rejects exits 2 through SystemExit, as on the
-    # command line; any other exception fails the test. The file asks for
-    # 2 gradcheck trials unless it sets its own
+    # main returns the code: a file value that its flag rejects exits 2
+    # without a SystemExit, and any exception fails the test. The file asks
+    # for 2 gradcheck trials unless it sets its own
     (config_root / "conf.json").write_text(json.dumps({"trials": 2} | values))
     cwd = os.getcwd()
     before = set(os.listdir(cwd))
     os.chdir(config_root)
     try:
-        code = exit_code("--config", "conf.json", *command)
+        code = run_cli("--config", "conf.json", *command)
     finally:
         os.chdir(cwd)
     event(f"{command[0]} exit {code}")
@@ -569,7 +592,7 @@ class TestEval:
     def test_empty_dataset_writes_nulls(self, tmp_path, capsys, monkeypatch, workers):
         # a dataset of no trials, written by hand: no chunk to run, and
         # neither metric has a number
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
         task_cfg = TaskConfig(t_steps=40)
         data_dir = tmp_path / "data"
         x = np.zeros((0, 40, 3))
@@ -592,20 +615,19 @@ class TestEval:
         assert json.loads(out.read_text())["state_accuracy"] == 1.0
 
     def test_sharded_eval_writes_the_same_bytes(self, tmp_path):
-        # at one BLAS thread per call, as the benchmark runs: four chunks of
-        # a 128-unit network (64, 64, 64 and 8 trials), run by one worker
-        # and by two at once
+        # at one BLAS thread per call, as the benchmark runs: four 50-trial
+        # chunks of a 128-unit network, run by one worker and by two at once
         data_dir = tmp_path / "data"
         save_dataset(generate_dataset(TaskConfig(t_steps=60, seed=11), 200), data_dir)
         cfg = ModelConfig(n_units=128)
         save_checkpoint(tmp_path / "ckpt", init_params(cfg, SeededRng(12)), cfg)
         code = ("import sys\n"
                 "from ffrnn import cli, training\n"
-                "training._SHARD_WORKERS = int(sys.argv[1])\n"
-                "print(training._eval_chunk(128))\n"
+                "training._CHUNK_WORKERS = int(sys.argv[1])\n"
+                "print(len(training._chunk_bounds(200, 128)))\n"
                 "sys.exit(cli.main(sys.argv[2:]))\n")
-        env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
+        env = {**with_src_on_path(), "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         written = []
         for workers in (1, 2):
             out = tmp_path / f"m{workers}.json"
@@ -614,7 +636,7 @@ class TestEval:
                  str(tmp_path / "ckpt"), "--data", str(data_dir), "--out", str(out)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[0] == "64"
+            assert proc.stdout.splitlines()[0] == "4"
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
@@ -705,7 +727,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "ffrnn.cli", "gen", "--samples", "2",
              "--steps", "60", "--seed", "77", "--out", str(tmp_path / "d")],
-            capture_output=True, text=True)
+            env=with_src_on_path(), capture_output=True, text=True)
         assert proc.returncode == 0
         cfg = json.loads((tmp_path / "d" / "config.json").read_text())
         assert cfg["seed"] == 77

@@ -26,7 +26,7 @@ from ffrnn.training import (
     DivergenceError,
     TrainConfig,
     _BLOCK_STEPS,
-    _EVAL_CHUNK,
+    _CHUNK_TRIALS,
     _clean_hold_mask,
     adam_update,
     bptt_gradients,
@@ -331,14 +331,14 @@ def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, se
 
 
 @pytest.fixture
-def sharded(monkeypatch):
-    """bptt_gradients cuts every batch of two trials or more into two
-    shards, and evaluate runs chunks of 8 trials, two at a time, whatever
-    the BLAS thread count of the run and however few units the network
-    has."""
-    monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
-    monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
-    monkeypatch.setattr(training, "_EVAL_CHUNK", 8)
+def small_chunks(monkeypatch):
+    """bptt_gradients and evaluate cut every batch and dataset into chunks
+    of 8 trials (fewer where the trials do not split evenly), run two at a
+    time, whatever the BLAS thread count of the run and however few units
+    the network has."""
+    monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
+    monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
+    monkeypatch.setattr(training, "_CHUNK_TRIALS", 8)
 
 
 def run_python(code, **env):
@@ -353,7 +353,7 @@ def run_python(code, **env):
 
 
 class SerialPool:
-    """Runs each submitted shard at once, on the calling thread."""
+    """Runs each submitted worker at once, on the calling thread."""
 
     def submit(self, fn, *args):
         future = Future()
@@ -401,38 +401,60 @@ class TestShardedBptt:
         monkeypatch.setattr(training, "_usable_cores", lambda: 5)
         assert training._blas_threads() == expected
 
-    @pytest.mark.parametrize("batch, n, workers, bounds", [
-        (128, 64, 2, [(0, 64), (64, 128)]),
-        (256, 64, 2, [(0, 128), (128, 256)]),   # never more shards than workers
-        (65, 128, 2, [(0, 33), (33, 65)]),
-        (200, 128, 4, [(0, 50), (50, 100), (100, 150), (150, 200)]),
-        (100, 128, 3, [(0, 34), (34, 67), (67, 100)]),
-        (96, 128, 4, [(0, 32), (32, 64), (64, 96)]),   # 32 x 128 = 4096 each
-        (127, 64, 2, [(0, 127)]),   # two shards would hold fewer than 4096
-        (128, 32, 2, [(0, 128)]),
-        (2, 8192, 4, [(0, 1), (1, 2)]),   # never more shards than trials
+    @pytest.mark.parametrize("trials, n, sizes", [
+        pytest.param(128, 128, [64, 64], id="128@128"),
+        pytest.param(108, 128, [54, 54], id="108@128"),
+        pytest.param(116, 64, [58, 58], id="116@64"),
+        pytest.param(500, 128, [63] * 4 + [62] * 4, id="500@128"),
+        pytest.param(128, 32, [128], id="128@32"),   # 128 x 32 = 4096
+        pytest.param(0, 128, [], id="no-trial"),
+        pytest.param(128, 64, [64, 64], id="128@64"),
+        pytest.param(256, 64, [64] * 4, id="256@64"),
+        pytest.param(65, 128, [33, 32], id="65@128"),
+        pytest.param(200, 128, [50] * 4, id="200@128"),
+        pytest.param(100, 128, [50, 50], id="100@128"),
+        pytest.param(96, 128, [48, 48], id="96@128"),
+        pytest.param(127, 64, [64, 63], id="127@64"),
+        pytest.param(2, 8192, [2], id="2@8192"),
     ])
-    def test_shard_bounds(self, monkeypatch, batch, n, workers, bounds):
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
-        assert training._MIN_SHARD_STATES == 4096
-        assert training._shard_bounds(batch, n) == bounds
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_chunk_bounds(self, monkeypatch, trials, n, sizes, workers):
+        # contiguous, near-equal and larger first, of at most 64 trials or
+        # 4096 state entries per step, whichever is more trials, whatever
+        # the worker count
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
+        assert (training._CHUNK_TRIALS, training._MIN_CHUNK_STATES) == (64, 4096)
+        edges = np.cumsum([0] + sizes).tolist()
+        assert training._chunk_bounds(trials, n) == list(zip(edges, edges[1:]))
 
     def test_more_blas_threads_than_cores_is_one_worker(self):
         # usable cores // threads per call is 0 here, and 0 workers would
-        # run no shard of a batch and no chunk of a dataset
+        # run no chunk of a batch or of a dataset
         cores = len(os.sched_getaffinity(0))
-        code = "from ffrnn import training\nprint(training._SHARD_WORKERS)\n"
+        code = "from ffrnn import training\nprint(training._CHUNK_WORKERS)\n"
         assert run_python(code, OMP_NUM_THREADS=str(cores + 1),
                           OPENBLAS_NUM_THREADS=str(cores + 1)).split() == ["1"]
 
     def test_one_worker_runs_the_batch_whole(self, monkeypatch):
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
-        assert training._shard_bounds(1000, 128) == [(0, 1000)]
+        # 1000 trials make 16 chunks at 128 units, but one worker would run
+        # them one after another, which is slower than the whole batch
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
+        sizes, run_chunk = [], training._bptt_chunk
+
+        def chunk(w, w_back, config, x, *args):
+            sizes.append(len(x))
+            return run_chunk(w, w_back, config, x, *args)
+
+        monkeypatch.setattr(training, "_bptt_chunk", chunk)
+        params, cfg, x, y = random_problem(128, 1000, 3)
+        assert len(training._chunk_bounds(1000, 128)) == 16
+        bptt_gradients(params, cfg, x, y)
+        assert sizes == [1000]
 
     @pytest.mark.parametrize("threads", ["1", ""])
     def test_pool_made_on_first_sharded_batch(self, threads):
         # importing the module starts no thread pool and loads no
-        # concurrent.futures, even where batches will be sharded
+        # concurrent.futures, even where batches will be cut into chunks
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["OMP_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(
@@ -445,8 +467,8 @@ class TestShardedBptt:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == ["None", "False"]
 
-    def test_pool_sized_for_the_workers(self, sharded, monkeypatch):
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 3)
+    def test_pool_sized_for_the_workers(self, small_chunks, monkeypatch):
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 3)
         monkeypatch.setattr(training, "_POOL", None)
         params, cfg, x, y = random_problem(4, 9, 5)
         bptt_gradients(params, cfg, x, y)
@@ -461,18 +483,18 @@ class TestShardedBptt:
     @pytest.mark.parametrize("batch", [65, 128, 129, 200])
     @pytest.mark.parametrize("dt", [1.0, 0.5, 0.01])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_oracle(self, sharded, batch, dt, use_bias):
+    def test_matches_oracle(self, small_chunks, batch, dt, use_bias):
         params, cfg, x, y = random_problem(5, batch, _BLOCK_STEPS + 5, dt, use_bias)
-        assert len(training._shard_bounds(batch, cfg.n_units)) == 2
+        assert len(training._chunk_bounds(batch, cfg.n_units)) >= 9
         assert_matches_oracle(params, cfg, x, y)
 
     def test_concurrent_equals_serial(self, monkeypatch):
-        # 4 shards on 3 workers plus the caller, more threads than cores,
+        # 4 chunks on 3 workers plus the caller, more threads than cores,
         # switching threads as often as the interpreter allows: the result
         # is the serial one bit for bit, every time
         params, cfg, x, y = random_problem(6, 200, 2 * _BLOCK_STEPS + 3, dt=0.5)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 4)
-        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 4)
+        monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
         monkeypatch.setattr(training, "_POOL", SerialPool())
         expected = bptt_gradients(params, cfg, x, y)
         pool = ThreadPoolExecutor(max_workers=3)
@@ -499,7 +521,7 @@ class TestShardedBptt:
             assert_same_results(result, expected)
 
     @pytest.mark.parametrize("batch", [129, 130])
-    def test_nan_workspace_matches_fresh_buffers(self, sharded, batch):
+    def test_nan_workspace_matches_fresh_buffers(self, small_chunks, batch):
         params, cfg, x, y = random_problem(7, batch, _BLOCK_STEPS + 9, dt=0.5)
         work = bptt_workspace(cfg, x.shape[1], 130)
         for buf in work:
@@ -516,29 +538,61 @@ class TestShardedBptt:
     ])
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_divergence_matches_whole_batch(self, monkeypatch, bad_steps, message, dt):
-        # bad inputs in the second shard only or in both, or else a bad
-        # target in the second shard only: the message is that of the
+        # bad inputs in the second chunk only or in both, or else a bad
+        # target in the second chunk only: the message is that of the
         # batch run whole
         params, cfg, x, y = random_problem(4, 128, 2 * _BLOCK_STEPS + 3, dt=dt)
-        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+        monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
         for trial, t in bad_steps:
             x[trial, t, 1] = np.nan
         if not bad_steps:
             y[100, 5, 2] = np.inf
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         whole = divergence_message(params, cfg, x, y)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
         assert divergence_message(params, cfg, x, y) == whole == message
 
+    @pytest.mark.parametrize("bad_steps, message", [
+        ([(10, 40)], "non-finite activations at step 40"),
+        ([(10, 40), (70, 20)], "non-finite activations at step 20"),
+        ([(10, 20), (70, 40), (150, 30)], "non-finite activations at step 20"),
+    ])
+    def test_divergence_before_the_workers_next_chunk(self, monkeypatch,
+                                                      bad_steps, message):
+        # three chunks on two workers: the calling thread runs chunks 0 and
+        # 2, so chunk 2 overwrites the history where chunk 0 diverged, and
+        # chunk 0 must name its step before that
+        params, cfg, x, y = random_problem(4, 192, 2 * _BLOCK_STEPS + 3)
+        monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
+        assert len(training._chunk_bounds(192, cfg.n_units)) == 3
+        for trial, t in bad_steps:
+            x[trial, t, 1] = np.nan
+        assert divergence_message(params, cfg, x, y) == message
+
+    def test_gradients_do_not_depend_on_the_workers(self, monkeypatch):
+        # four 64-trial chunks at the default chunk rule, run by 2, 3 or 4
+        # workers: the chunks and their sums are the same every time
+        params, cfg, x, y = random_problem(64, 256, _BLOCK_STEPS + 8, dt=0.5)
+        assert len(training._chunk_bounds(256, cfg.n_units)) == 4
+        results = []
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
+            monkeypatch.setattr(training, "_POOL", None)
+            results.append(bptt_gradients(params, cfg, x, y))
+            training._POOL.shutdown()
+        assert_same_results(results[1], results[0])
+        assert_same_results(results[2], results[0])
+
     def test_whole_batch_is_one_shard_call(self, monkeypatch):
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         params, cfg, x, y = random_problem(8, 128, _BLOCK_STEPS + 4, dt=0.5)
         grads, batch_loss = bptt_gradients(params, cfg, x, y)
         n = cfg.n_units
         u = np.empty((x.shape[1] + 2, 128, 3 + n + 3 + 1))
         ring = np.empty((_BLOCK_STEPS + 1, 128, 3 + n))
         w_back = np.concatenate([(2.0 / y.size) * params.w_out, params.w_rec])
-        g, squared = training._bptt_shard(training._step_matrix(params), w_back,
+        g, squared = training._bptt_chunk(training._step_matrix(params), w_back,
                                           cfg, x, y, u, ring)
         assert batch_loss == squared / y.size
         npt.assert_array_equal(grads.w_rec, g[3:, :n])
@@ -552,9 +606,9 @@ class TestShardedBptt:
         # the recipe's size: only the summation order of the weight-gradient
         # GEMMs and of the loss differs
         params, cfg, x, y = random_problem(128, 128, 300, dt=dt)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         whole, whole_loss = bptt_gradients(params, cfg, x, y)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
         grads, batch_loss = bptt_gradients(params, cfg, x, y)
         npt.assert_allclose(batch_loss, whole_loss, rtol=1e-15)
         for key, g in grads.as_dict().items():
@@ -816,7 +870,7 @@ class TestEvaluate:
         # each worker runs its chunks through one [_BLOCK_STEPS + 2, chunk,
         # ...] buffer and keeps only one chunk's readouts, so the peak is a
         # small part of one 128-trial full-history buffer, a bound that does
-        # not move with _EVAL_CHUNK
+        # not move with _CHUNK_TRIALS
         task = TaskConfig(t_steps=300)
         mcfg = ModelConfig(n_units=64)
         params = init_params(mcfg, SeededRng(37))
@@ -836,8 +890,9 @@ class TestEvaluate:
     # short trials, so that clean holds exist at transition pad 2
     SHORT = dict(pulse_width=2, delay_steps=2, min_gap=4, max_gap=12)
 
+    # the last two cases hold one and three trials past a whole chunk
     CHUNK_CASES = [
-        pytest.param(dict(t_steps=300), {}, 2 * _EVAL_CHUNK + 44, 10,
+        pytest.param(dict(t_steps=300), {}, 2 * _CHUNK_TRIALS + 44, 10,
                      id="300-steps"),
         pytest.param(SHORT | dict(t_steps=_BLOCK_STEPS - 7), {}, 40, 2,
                      id="below-one-block"),
@@ -846,9 +901,9 @@ class TestEvaluate:
                      id="not-a-multiple-of-the-block"),
         pytest.param(dict(t_steps=100), dict(dt=0.5, use_bias=True), 40, 10,
                      id="leaky-with-bias"),
-        pytest.param(SHORT | dict(t_steps=70), {}, _EVAL_CHUNK + 1, 2,
+        pytest.param(SHORT | dict(t_steps=70), {}, _CHUNK_TRIALS + 1, 2,
                      id="one-trial-last-chunk"),
-        pytest.param(SHORT | dict(t_steps=70), {}, _EVAL_CHUNK + 3, 2,
+        pytest.param(SHORT | dict(t_steps=70), {}, _CHUNK_TRIALS + 3, 2,
                      id="last-chunk-below-the-workers"),
     ]
 
@@ -867,8 +922,8 @@ class TestEvaluate:
     def test_chunked_matches_whole_dataset(self, monkeypatch, task, model,
                                            trials, pad):
         # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
-        # of _EVAL_CHUNK trials, batch_forward's here over all of them
-        monkeypatch.setattr(training, "_MIN_SHARD_STATES", 1)
+        # of _CHUNK_TRIALS trials, batch_forward's here over all of them
+        monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
         cfg, ds, mcfg, params = self.chunk_case(task, model, trials)
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
@@ -882,50 +937,52 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_sharded_equals_serial(self, sharded, monkeypatch, workers,
+    def test_sharded_equals_serial(self, small_chunks, monkeypatch, workers,
                                    task, model, trials, pad):
         # a chunk's bounds and GEMMs do not depend on the worker count, and
         # the chunk sums are added up in chunk order, so the metrics are
         # the serial ones bit for bit
         _, ds, mcfg, params = self.chunk_case(task, model, trials)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         serial = evaluate(params, mcfg, ds, transition_pad=pad)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
-        assert -(-trials // training._eval_chunk(mcfg.n_units)) >= workers
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
+        assert len(training._chunk_bounds(trials, mcfg.n_units)) >= workers
         assert evaluate(params, mcfg, ds, transition_pad=pad) == serial
 
     def test_sharded_peak_memory_one_chunk(self, monkeypatch):
         # two workers, each with the buffers of one 64-trial chunk
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 2)
-        assert training._eval_chunk(64) == 64
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
+        assert training._chunk_bounds(384, 64) == [(k, k + 64) for k in range(0, 384, 64)]
         self.test_peak_memory_one_chunk()
 
     @pytest.mark.parametrize("n, chunk", [(1, 4096), (8, 512), (32, 128),
                                           (64, 64), (128, 64), (256, 64)])
     def test_chunk_size(self, n, chunk):
-        # _EVAL_CHUNK trials, or enough for _MIN_SHARD_STATES state entries
-        assert (_EVAL_CHUNK, training._MIN_SHARD_STATES) == (64, 4096)
-        assert training._eval_chunk(n) == chunk
+        # _CHUNK_TRIALS trials, or enough for _MIN_CHUNK_STATES state entries
+        assert (_CHUNK_TRIALS, training._MIN_CHUNK_STATES) == (64, 4096)
+        assert training._chunk_bounds(3 * chunk, n) == [
+            (0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk)]
+        assert len(training._chunk_bounds(3 * chunk + 1, n)) == 4
 
     @pytest.mark.parametrize("n, trials, chunks", [
-        (128, 150, [64, 64, 22]), (128, 64, [64]), (32, 300, [128, 128, 44]),
+        (128, 150, [50, 50, 50]), (128, 64, [64]), (32, 300, [100, 100, 100]),
         (8, 3, [3]), (256, 1, [1])])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunks_run(self, monkeypatch, n, trials, chunks, workers):
         # the chunks, in order, whatever the worker count; a dataset smaller
         # than a chunk runs as one chunk of its size
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
         mcfg = ModelConfig(n_units=n)
         params = init_params(mcfg, SeededRng(48))
         x = SeededRng(49).gen.normal(size=(trials, 40, 3))
-        starts, run_shard = [], training._eval_shard
+        starts, run_chunk = [], training._forward_chunk
 
-        def shard(w, config, xs, u, z):
+        def chunk(w, config, xs, u, z):
             starts.append((int(np.flatnonzero((x == xs[0]).all(axis=(1, 2)))[0]),
                            len(xs)))
-            run_shard(w, config, xs, u, z)
+            run_chunk(w, config, xs, u, z)
 
-        monkeypatch.setattr(training, "_eval_shard", shard)
+        monkeypatch.setattr(training, "_forward_chunk", chunk)
         evaluate(params, mcfg, Dataset(x, np.zeros_like(x), TaskConfig(t_steps=40),
                                        [[] for _ in range(trials)]))
         assert sorted(starts) == list(zip(np.cumsum([0] + chunks[:-1]).tolist(), chunks))
@@ -933,7 +990,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_empty_dataset_is_nan(self, monkeypatch, workers):
         # no trial: no chunk, no worker, and no number for either metric
-        monkeypatch.setattr(training, "_SHARD_WORKERS", workers)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
         cfg = TaskConfig(t_steps=40)
         x = np.zeros((0, 40, 3))
         metrics = evaluate(latch_params(), ModelConfig(n_units=3),
@@ -944,9 +1001,8 @@ class TestEvaluate:
     def chunk_readouts(params, mcfg, x):
         """batch_forward's readouts, run over one chunk of evaluate at a
         time."""
-        chunk = training._eval_chunk(mcfg.n_units)
-        return np.concatenate([batch_forward(params, mcfg, x[lo:lo + chunk])[1]
-                               for lo in range(0, len(x), chunk)])
+        return np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1] for lo, hi
+                               in training._chunk_bounds(len(x), mcfg.n_units)])
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_one_chunk_matches_batch_forward_bitwise(self, dt):
@@ -962,9 +1018,9 @@ class TestEvaluate:
         assert evaluate(params, mcfg, Dataset(ds.x, z, cfg, ds.events)).mse == 0.0
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_sharded_chunk_matches_batch_forward_bitwise(self, sharded, dt):
-        # seven chunks, the last of 2 trials, on two workers
-        assert training._eval_chunk(16) == 8
+    def test_sharded_chunk_matches_batch_forward_bitwise(self, small_chunks, dt):
+        # seven chunks of 7 or 8 trials, on two workers
+        assert len(training._chunk_bounds(50, 16)) == 7
         self.test_one_chunk_matches_batch_forward_bitwise(dt)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -985,17 +1041,16 @@ cfg = TaskConfig(t_steps=training._BLOCK_STEPS + 8)
 for n in (8, 16, 64, 128, 200, 256):
     mcfg = ModelConfig(n_units=n)
     params = init_params(mcfg, SeededRng(46))
-    chunk = training._eval_chunk(n)
     for trials in (1, 63, 65, 130, 300):
         rng = SeededRng(47 + trials)
         x = rng.gen.normal(size=(trials, cfg.t_steps, 3))
         signs = Dataset(x, np.sign(rng.gen.normal(size=x.shape)), cfg,
                         [[] for _ in range(trials)])
-        z = np.concatenate([batch_forward(params, mcfg, x[lo:lo + chunk])[1]
-                            for lo in range(0, trials, chunk)])
+        z = np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1]
+                            for lo, hi in training._chunk_bounds(trials, n)])
         readouts = Dataset(x, z, cfg, signs.events)
         for workers in (1, 4, 3, 2):   # the pool is made for 4
-            training._SHARD_WORKERS = workers
+            training._CHUNK_WORKERS = workers
             metrics = training.evaluate(params, mcfg, signs)
             if workers == 1:
                 serial = metrics
@@ -1009,18 +1064,18 @@ for n in (8, 16, 64, 128, 200, 256):
         assert {equal for *_, equal, _ in lines} == {"True"}
         assert {float(mse) for *_, mse in lines} == {0.0}
 
-    def test_concurrent_equals_serial(self, sharded, monkeypatch):
-        # 4 shards on 3 workers plus the caller, more threads than cores,
+    def test_concurrent_equals_serial(self, small_chunks, monkeypatch):
+        # 13 chunks on 3 workers plus the caller, more threads than cores,
         # switching threads as often as the interpreter allows: the metrics
         # are the serial ones every time
         _, ds, mcfg, params = self.chunk_case(
             self.SHORT | dict(t_steps=2 * _BLOCK_STEPS + 3), dict(dt=0.5),
-            _EVAL_CHUNK + 40)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 1)
+            _CHUNK_TRIALS + 40)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         expected = evaluate(params, mcfg, ds, transition_pad=2)
         assert not math.isnan(expected.state_accuracy)
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 4)
-        assert -(-len(ds.x) // training._eval_chunk(mcfg.n_units)) >= 4
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 4)
+        assert len(training._chunk_bounds(len(ds.x), mcfg.n_units)) == 13
         pool = ThreadPoolExecutor(max_workers=3)
         monkeypatch.setattr(training, "_POOL", pool)
         results = []
@@ -1042,7 +1097,7 @@ for n in (8, 16, 64, 128, 200, 256):
         assert results == [expected] * 10
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_failing_shard_raises_after_every_shard(self, sharded, monkeypatch,
+    def test_failing_shard_raises_after_every_shard(self, small_chunks, monkeypatch,
                                                     failing):
         # three chunks on three workers: the first runs on the calling
         # thread, the others on the pool
@@ -1050,26 +1105,26 @@ for n in (8, 16, 64, 128, 200, 256):
         ds = generate_dataset(cfg, 30)
         mcfg = ModelConfig(n_units=8)
         params = init_params(mcfg, SeededRng(44))
-        monkeypatch.setattr(training, "_SHARD_WORKERS", 3)
-        monkeypatch.setattr(training, "_EVAL_CHUNK", 10)
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 3)
+        monkeypatch.setattr(training, "_CHUNK_TRIALS", 10)
         starts = [0, 10, 20]
         finished = []
-        run_shard = training._eval_shard
+        run_chunk = training._forward_chunk
 
-        def shard(w, config, x, u, z):
+        def chunk(w, config, x, u, z):
             index = next(i for i, lo in enumerate(starts)
                          if np.array_equal(x[0], ds.x[lo]))
             if index == failing:
-                raise RuntimeError(f"shard {index} failed")
+                raise RuntimeError(f"chunk {index} failed")
             time.sleep(0.2)
-            run_shard(w, config, x, u, z)
+            run_chunk(w, config, x, u, z)
             finished.append(index)
 
-        monkeypatch.setattr(training, "_eval_shard", shard)
+        monkeypatch.setattr(training, "_forward_chunk", chunk)
         pool = ThreadPoolExecutor(max_workers=2)
         monkeypatch.setattr(training, "_POOL", pool)
         try:
-            with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
+            with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
                 evaluate(params, mcfg, ds)
             assert sorted(finished) == [i for i in range(3) if i != failing]
         finally:
@@ -1083,8 +1138,8 @@ for n in (8, 16, 64, 128, 200, 256):
                 "from ffrnn.linalg import SeededRng\n"
                 "from ffrnn.model import ModelConfig, init_params\n"
                 "from ffrnn.task import TaskConfig, generate_probe\n"
-                "training._SHARD_WORKERS = 4\n"
-                "training._MIN_SHARD_STATES = 1\n"
+                "training._CHUNK_WORKERS = 4\n"
+                "training._MIN_CHUNK_STATES = 1\n"
                 "mcfg = ModelConfig(n_units=128)\n"
                 "params = init_params(mcfg, SeededRng(45))\n"
                 "training.evaluate(params, mcfg, generate_probe(TaskConfig()))\n"
