@@ -11,24 +11,28 @@ variance 2/(fan_in + fan_out), the variance of the default kernel
 initializer of Keras' SimpleRNN and Dense layers.
 
 The recurrence runs time-major in one
-[t_steps + 2, batch, n_out + n + n_in + 1] buffer whose row t holds
-[z(h_{t-1}) | h_t | x_t | 1], so each step is a single GEMM with the step
-matrix [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]], which gives the
-readout of h_t and the pre-activation a_t together, followed by tanh
-(``_recurrence``). The caller builds the step matrix once per call
-(``_step_matrix``) and leaves the start state in row 0: ``batch_forward``
-and ``training.bptt_gradients`` zero it, and ``training.evaluate`` carries
-the last state of one block of steps into the next. Where BLAS leaves a core
-idle, ``bptt_gradients`` and ``evaluate`` run the recurrence on several
-chunks of trials at once, cut by the trial count and the network size
-alone. So the gradients depend on the number of cores only by whether BLAS
-leaves one idle, and the metrics not at all.
+[t_steps + 2, n_out + n + n_in + 1, batch] buffer whose row t holds the
+slab [z(h_{t-1}); h_t; x_t; 1], one feature per line and the trials
+innermost, so every slot is a contiguous [features, batch] block. Each
+step is then a single GEMM of the step matrix
+[[W_out, 0, b_out]; [W_rec, W_in, b_rec]] with [h_t; x_t; 1], which gives
+the readout of h_t and the pre-activation a_t together, followed by tanh
+on one contiguous slab (``_recurrence``). The caller builds the step
+matrix once per call (``_step_matrix``) and leaves the start state in
+row 0: ``batch_forward`` and ``training.bptt_gradients`` zero it, and
+``training.evaluate`` carries the last state of one block of steps into
+the next. Where BLAS leaves a core idle, ``bptt_gradients`` and
+``evaluate`` run the recurrence on several chunks of trials at once, cut
+by the trial count and the network size alone. So the gradients depend on
+the number of cores only by whether BLAS leaves one idle, and the metrics
+not at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -116,68 +120,65 @@ def _forward_input(params: RnnParams, config: ModelConfig, x) -> np.ndarray:
     return x
 
 
-def _time_major(rows: int, batch: int, width: int, flat=None):
-    """A [rows, batch, width] float64 buffer: a fresh array, or a contiguous
-    prefix of the 1-D array ``flat``, so its strides are the same either
-    way."""
-    shape = (rows, batch, width)
+def _buffer(shape: tuple, flat=None) -> np.ndarray:
+    """A float64 buffer of ``shape``: a fresh array, or a contiguous prefix
+    of the 1-D array ``flat``, so its strides are the same either way."""
     if flat is None:
         return np.empty(shape)
-    size = rows * batch * width
+    size = math.prod(shape)
     if flat.size < size:
         raise ValueError(f"workspace holds {flat.size} values, {size} needed")
     return flat[:size].reshape(shape)
 
 
 def _step_matrix(params: RnnParams) -> np.ndarray:
-    """The C-ordered [n + n_in + 1, n_out + n] step matrix
-    [[W_out^T, W_rec^T]; [0, W_in^T]; [b_out, b_rec]] of ``_recurrence``."""
+    """The C-ordered [n_out + n, n + n_in + 1] step matrix
+    [[W_out, 0, b_out]; [W_rec, W_in, b_rec]] of ``_recurrence``."""
     n_in, n_out = params.w_in.shape[1], params.w_out.shape[0]
-    return np.block([[params.w_out.T, params.w_rec.T],
-                     [np.zeros((n_in, n_out)), params.w_in.T],
-                     [params.b_out, params.b_rec]])
+    return np.block([[params.w_out, np.zeros((n_out, n_in)), params.b_out[:, None]],
+                     [params.w_rec, params.w_in, params.b_rec[:, None]]])
 
 
 def _recurrence(w: np.ndarray, config: ModelConfig, x: np.ndarray,
                 u: np.ndarray) -> None:
     """The recurrence over a [batch, t_steps, n_in] tensor, time-major,
     written into the first t_steps + 2 rows of the
-    [rows, batch, n_out + n_units + n_in + 1] buffer ``u``, from the start
+    [rows, n_out + n_units + n_in + 1, batch] buffer ``u``, from the start
     state h_0 that the caller leaves in row 0's h slot.
 
-    Row t of u holds [z(h_{t-1}) | h_t | x_t | 1]: h_{t+1} is the state
-    after step t, and z(h) = W_out h + b_out. Step t is one GEMM,
-    [h_t | x_t | 1] @ w, with w = [[W_out^T, W_rec^T]; [0, W_in^T];
-    [b_out, b_rec]] the step matrix from ``_step_matrix``, into
-    [z(h_t) | a_t] of row t + 1, then tanh in place. One more step at
-    t = t_steps, over x = 0, reads out h_t_steps into row t_steps + 1, so
-    the readouts of h_1 .. h_t_steps sit in rows 2 .. t_steps + 1; row 0's
-    readout slot and row t_steps + 1's other slots hold no values. At alpha = 1
-    the state is tanh(a_t) itself; at alpha < 1, tanh(a_t) passes through
-    [batch, n_units] scratch and is not kept, since
-    ``training.bptt_gradients`` recovers it from h_t and h_{t+1}. Values are
-    not checked for finiteness here.
+    Row t of u is the slab [z(h_{t-1}); h_t; x_t; 1], trials innermost:
+    h_{t+1} is the state after step t, and z(h) = W_out h + b_out. Step t
+    is one GEMM, w @ [h_t; x_t; 1], with w = [[W_out, 0, b_out];
+    [W_rec, W_in, b_rec]] the step matrix from ``_step_matrix``, into the
+    contiguous [z(h_t); a_t] slab of row t + 1, then tanh in place on the
+    a_t slab. One more step at t = t_steps, over x = 0, reads out
+    h_t_steps into row t_steps + 1, so the readouts of h_1 .. h_t_steps sit
+    in rows 2 .. t_steps + 1; row 0's readout slot and row t_steps + 1's
+    other slots hold no values. At alpha = 1 the state is tanh(a_t) itself;
+    at alpha < 1, tanh(a_t) passes through [n_units, batch] scratch and is
+    not kept, since ``training.bptt_gradients`` recovers it from h_t and
+    h_{t+1}. Values are not checked for finiteness here.
     """
     batch, t_steps, _ = x.shape
     n, n_out = config.n_units, config.n_out
     alpha = config.alpha
-    u[:t_steps, :, n_out + n:-1] = x.transpose(1, 0, 2)
-    u[t_steps, :, n_out + n:-1] = 0.0
-    u[:t_steps + 1, :, -1] = 1.0
+    u[:t_steps, n_out + n:-1] = x.transpose(1, 2, 0)
+    u[t_steps, n_out + n:-1] = 0.0
+    u[:t_steps + 1, -1] = 1.0
     if alpha != 1.0:
-        s = np.empty((batch, n))
+        s = np.empty((n, batch))
     for t in range(t_steps):
-        out = u[t + 1, :, :n_out + n]
-        np.matmul(u[t, :, n_out:], w, out=out)
-        h = out[:, n_out:]
+        out = u[t + 1, :n_out + n]
+        np.matmul(w, u[t, n_out:], out=out)
+        h = out[n_out:]
         if alpha == 1.0:
             np.tanh(h, out=h)
         else:
             np.tanh(h, out=s)
-            np.multiply(u[t, :, n_out:n_out + n], 1.0 - alpha, out=h)
+            np.multiply(u[t, n_out:n_out + n], 1.0 - alpha, out=h)
             s *= alpha
             h += s
-    np.matmul(u[t_steps, :, n_out:], w[:, :n_out], out=u[t_steps + 1, :, :n_out])
+    np.matmul(w[:n_out], u[t_steps, n_out:], out=u[t_steps + 1, :n_out])
 
 
 def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
@@ -185,20 +186,21 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
 
     Returns (h, z) with shapes [batch, t_steps, n_units] and
     [batch, t_steps, n_out]. Batch elements are independent. The recurrence
-    runs time-major in a fresh [z | h | x | 1] buffer (``_recurrence``),
-    which also computes the readouts. h is a transposed view of that buffer;
-    z is copied out into an array of its own, so a caller that keeps only z
-    does not keep the whole buffer alive. Non-finite values are returned as
-    they are; ``training.bptt_gradients`` checks finiteness once per batch.
+    runs time-major in a fresh [z; h; x; 1] buffer of [features, batch]
+    slabs (``_recurrence``), which also computes the readouts. h is a
+    transposed view of that buffer; z is copied out into an array of its
+    own, so a caller that keeps only z does not keep the whole buffer
+    alive. Non-finite values are returned as they are;
+    ``training.bptt_gradients`` checks finiteness once per batch.
     """
     x = _forward_input(params, config, x)
     batch, t_steps, _ = x.shape
     n, n_out = config.n_units, config.n_out
-    u = _time_major(t_steps + 2, batch, n_out + n + config.n_in + 1)
-    u[0, :, n_out:n_out + n] = 0.0
+    u = _buffer((t_steps + 2, n_out + n + config.n_in + 1, batch))
+    u[0, n_out:n_out + n] = 0.0
     _recurrence(_step_matrix(params), config, x, u)
-    h = u[1:t_steps + 1, :, n_out:n_out + n].transpose(1, 0, 2)
-    z = u[2:, :, :n_out].transpose(1, 0, 2).copy()
+    h = u[1:t_steps + 1, n_out:n_out + n].transpose(2, 0, 1)
+    z = u[2:, :n_out].transpose(2, 0, 1).copy()
     return h, z
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SeededRng
-from .model import (ModelConfig, RnnParams, _forward_input, _recurrence,
-                    _step_matrix, _time_major, batch_forward)
+from .model import (ModelConfig, RnnParams, _buffer, _forward_input,
+                    _recurrence, _step_matrix, batch_forward)
 from .task import Dataset, Trial
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
@@ -32,6 +32,8 @@ GRADCHECK_STEP, GRADCHECK_TOLERANCE = 1e-5, 1e-4
 # bptt_gradients; a block's buffer, 4.4-4.7 MB at 128 units and 128 trials,
 # is small enough to stay in cache
 _BLOCK_STEPS = 32
+# ring rows per batched GEMM of the weight gradients in bptt_gradients
+_GRAD_GROUP = 8
 
 
 class DivergenceError(RuntimeError):
@@ -119,14 +121,20 @@ def loss(z: np.ndarray, z_target: np.ndarray) -> float:
 
 def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     """Buffers for ``bptt_gradients(..., work=...)`` on up to ``batch``
-    trials of ``t_steps`` steps: two flat float64 arrays, one for the
-    forward history and one for a block of the backward sweep. A call on
-    b trials uses the prefix that b trials fill; when it cuts the batch
-    into chunks, each worker takes its own consecutive part of that prefix,
-    laid out as a fresh buffer for its first chunk would be."""
+    trials of ``t_steps`` steps: three flat float64 arrays. The first holds
+    the forward history, the second the ring of a block of the backward
+    sweep, and the third one [_GRAD_GROUP, n_out + n, n + n_in + 1] scratch
+    per worker for the products of the weight-gradient GEMMs (1.1 MB each
+    at 128 units). A call on b trials uses the prefix of the first two
+    that b trials fill; when it cuts the batch into chunks, each worker
+    takes its own consecutive part of that prefix, laid out as a fresh
+    buffer for its first chunk would be, and worker k the k-th scratch of
+    the third."""
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
+    workers = max(1, min(_CHUNK_WORKERS, len(_chunk_bounds(batch, n))))
     return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
-            np.empty((min(t_steps, _BLOCK_STEPS) + 1) * batch * (n_out + n)))
+            np.empty((min(t_steps, _BLOCK_STEPS) + 3) * batch * (n_out + n)),
+            np.empty(workers * _GRAD_GROUP * (n_out + n) * (n + n_in + 1)))
 
 
 def _usable_cores() -> int:
@@ -153,9 +161,9 @@ _CHUNK_TRIALS = 64
 # fewest state entries (trials x units) per step in a chunk. Smaller chunks
 # lose more to the per-step costs that every chunk repeats than the second
 # core gains: at one BLAS thread on 2 cores and 300 steps, a batch cut in
-# two ran at 0.73-0.87x the whole batch's speed at 2,048 entries per part
-# (16 trials x 128 units, 32 x 64, 64 x 32), and at 1.08-1.30x at 4,096
-# (64 x 64, 32 x 128) but 0.96x at 128 x 32.
+# two ran at 1.45-1.92x the whole batch's speed at 4,096 entries per part
+# (64 trials x 64 units, 32 x 128, 128 x 32), but at 0.65-0.88x at 2,048
+# (32 x 64, 64 x 32), though at 1.22-1.28x for 16 x 128.
 _MIN_CHUNK_STATES = 4096
 # the chunks run at once, at most, the calling thread's included: usable
 # cores // threads per BLAS call. BLAS reads its thread count once at
@@ -200,7 +208,7 @@ def _run_chunks(run, bounds: list, alloc) -> list:
     """[run(lo, hi, *buffers) for lo, hi in bounds], in chunk order.
 
     Worker k of W = min(_CHUNK_WORKERS, chunks) runs chunks k, k + W, ...
-    one after another, all through the buffers ``alloc(lo, hi)`` of its
+    one after another, all through the buffers ``alloc(k, lo, hi)`` of its
     first chunk [lo, hi), the largest it runs. The calling thread allocates
     them all: glibc keeps what a pool thread frees in that thread's own
     arena, where the next round of training does not reuse it (train-128's
@@ -210,7 +218,7 @@ def _run_chunks(run, bounds: list, alloc) -> list:
     its buffers afterwards; the first error, in worker order, is raised.
     """
     workers = max(1, min(_CHUNK_WORKERS, len(bounds)))
-    buffers = [alloc(lo, hi) for lo, hi in bounds[:workers]]
+    buffers = [alloc(k, lo, hi) for k, (lo, hi) in enumerate(bounds[:workers])]
 
     def run_worker(k):
         return [run(lo, hi, *buffers[k]) for lo, hi in bounds[k::workers]]
@@ -230,27 +238,31 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     """Exact loss gradients over a batch by reverse accumulation.
 
     Unrolls the recurrence from the zero state with the time-major kernel
-    that ``batch_forward`` also runs, whose row t holds
-    [z(h_{t-1}) | h_t | x_t | 1]. Then walks the steps backwards in blocks
-    of ``_BLOCK_STEPS``, newest block first, through a ring of
-    ``_BLOCK_STEPS + 1`` rows [err_j | d_j]: the readout error
-    z(h_j) - y_{j-1} of state h_j (zero for h_0) and d_j = dL/da_j (zero
-    for j = t_steps). A block [lo, hi) holds its rows in the ring's first
-    hi - lo rows and row hi, carried from the block after it, in the next.
-    Each step is one GEMM, [err_{t+1} | d_{t+1}] @ [scale * W_out; W_rec]
-    with scale = 2 / size the factor of the mean, plus the leak path
-    (1 - alpha) from t+1 and the gain alpha * tanh'(a_t). At alpha < 1,
+    that ``batch_forward`` also runs, whose row t is the [features, trials]
+    slab [z(h_{t-1}); h_t; x_t; 1]. Then walks the steps backwards in
+    blocks of ``_BLOCK_STEPS``, newest block first, through a ring of
+    ``_BLOCK_STEPS + 1`` [n_out + n, trials] slabs [err_j; d_j]: the
+    readout error z(h_j) - y_{j-1} of state h_j (zero for h_0) and
+    d_j = dL/da_j (zero for j = t_steps). A block [lo, hi) holds its rows
+    in the ring's first hi - lo rows and row hi, carried from the block
+    after it, in the next. One pass over the block first writes each
+    step's gain alpha * tanh'(a_t) into the d slots; at alpha < 1,
     tanh(a_t) is recovered from the states as
-    (h_{t+1} - (1 - alpha) h_t) / alpha. Once a block's d_j are done, one
-    GEMM, [err | d]^T @ [h | x | 1] over its rows (the newest block's also
-    over row t_steps), adds them to all five gradients together: its top
-    n_out rows, times scale, those of W_out and b_out, and its other rows
-    those of W_rec, W_in and b_rec (``_bptt_chunk``).
+    (h_{t+1} - (1 - alpha) h_t) / alpha. Each step is then one GEMM,
+    dh = [scale * W_out^T | W_rec^T] @ [err_{t+1}; d_{t+1}] with
+    scale = 2 / size the factor of the mean, and one multiply of the gain
+    by dh in place; at alpha < 1 the leak path (1 - alpha) from t+1 adds
+    two more. Once a block's d_j are done, one batched GEMM per group of
+    ``_GRAD_GROUP`` rows, [err; d] @ [h; x; 1]^T per row, adds them to all
+    five gradients together: the top n_out rows, times scale, those of
+    W_out and b_out, and the other rows those of W_rec, W_in and b_rec
+    (``_bptt_chunk``).
 
     When BLAS leaves a core idle (``_CHUNK_WORKERS`` >= 2), the batch is
     cut into ``evaluate``'s chunks (``_chunk_bounds``), which run this
     sweep on the workers of ``_run_chunks``, worker k in its own
-    consecutive part of the buffers. The step matrices are built once per
+    consecutive part of the history and ring buffers and in its own
+    gradient scratch. The step matrices are built once per
     call, on the calling thread. Every chunk scales by the whole batch's
     size, and the gradients and the squared-error sums are added up in
     chunk order. So the result depends on the batch, the network size and
@@ -281,20 +293,26 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     scale = 2.0 / batch_y.size
 
     w = _step_matrix(params)
-    w_back = np.concatenate([scale * params.w_out, params.w_rec])
-    rows, ring_rows = t_steps + 2, min(t_steps, _BLOCK_STEPS) + 1
+    w_back = np.concatenate([scale * params.w_out, params.w_rec]).T.copy()
+    # the ring: a block's rows, the row carried from the block after it,
+    # and two rows of [n, trials] scratch, dh and the leak
+    rows, ring_rows = t_steps + 2, min(t_steps, _BLOCK_STEPS) + 3
     width = n_out + n + n_in + 1
+    group = (_GRAD_GROUP, n_out + n, n + n_in + 1)
+    group_size = math.prod(group)
 
-    def run(lo, hi, u, ring):
+    def run(lo, hi, u, ring, products):
         return _bptt_chunk(w, w_back, config, batch_x[lo:hi], batch_y[lo:hi],
-                           _time_major(rows, hi - lo, width, u),
-                           _time_major(ring_rows, hi - lo, n_out + n, ring))
+                           _buffer((rows, width, hi - lo), u),
+                           _buffer((ring_rows, n_out + n, hi - lo), ring),
+                           _buffer(group, products))
 
     # the trials before a worker's first chunk take the workspace before its part
     results = _run_chunks(
         run, _chunk_bounds(batch, n) if _CHUNK_WORKERS > 1 else [(0, batch)],
-        lambda lo, hi: (work[0][lo * rows * width:],
-                        work[1][lo * ring_rows * (n_out + n):]))
+        lambda k, lo, hi: (work[0][lo * rows * width:],
+                           work[1][lo * ring_rows * (n_out + n):],
+                           work[2][k * group_size:]))
 
     if any(g is None for g, _ in results):
         steps = [step for g, step in results if g is None and step is not None]
@@ -317,48 +335,49 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
 
 def _bptt_chunk(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
                 batch_x: np.ndarray, batch_y: np.ndarray, u: np.ndarray,
-                ring: np.ndarray):
+                ring: np.ndarray, products: np.ndarray):
     """The forward pass and the blocked backward sweep of ``bptt_gradients``
-    over the trials of one chunk, in its [t_steps + 2, trials, ...] history
-    ``u`` and its [min(t_steps, _BLOCK_STEPS) + 1, trials, n_out + n] ring,
-    with the forward step matrix ``w`` (``model._step_matrix``) and the
-    backward one ``w_back`` = [scale * W_out; W_rec].
+    over the trials of one chunk, in its [t_steps + 2, ..., trials] history
+    ``u``, its [min(t_steps, _BLOCK_STEPS) + 3, n_out + n, trials] ring,
+    whose last two rows hold dh and the leak in their first n slots, and
+    its [_GRAD_GROUP, n_out + n, n + n_in + 1] scratch ``products``, with
+    the forward step matrix ``w`` (``model._step_matrix``) and the C-ordered
+    backward one ``w_back`` = [scale * W_out^T | W_rec^T].
 
-    Returns (g, squared): the [n_out + n, n + n_in + 1] sum of the blocks'
-    [err | d]^T @ [h | x | 1] GEMMs, and the sum of the blocks' squared
-    readout errors. Once a block's sum is not finite, the sweep stops
-    before that block's steps and returns (None, the first step with a
-    non-finite activation, or None if there is none), read before the
-    worker's next chunk overwrites the history.
+    Returns (g, squared): the [n_out + n, n + n_in + 1] sum of the rows'
+    [err; d] @ [h; x; 1]^T products, pairwise within each group of rows
+    and group by group in row order, and the sum of the blocks' squared
+    readout errors. Once a block's sum is not finite, the
+    sweep stops before that block's steps and returns (None, the first step
+    with a non-finite activation, or None if there is none), read before
+    the worker's next chunk overwrites the history.
     """
     batch, t_steps, _ = batch_x.shape
-    n, n_in, n_out = config.n_units, config.n_in, config.n_out
+    n, n_out = config.n_units, config.n_out
     alpha = config.alpha
-    u[0, :, n_out:n_out + n] = 0.0
+    u[0, n_out:n_out + n] = 0.0
     _recurrence(w, config, batch_x, u)
-    h = u[:, :, n_out:n_out + n]
-    y = batch_y.transpose(1, 0, 2)
+    h = u[:, n_out:n_out + n]
+    y = batch_y.transpose(1, 2, 0)
 
-    g = np.zeros((n_out + n, n + n_in + 1))
-    dh = np.empty((batch, n))
-    gain = np.empty((batch, n))
-    if alpha != 1.0:
-        leak = np.zeros((batch, n))
+    g = np.zeros(products.shape[1:])
+    dh, leak = ring[-2, :n], ring[-1, :n]
+    leak[:] = 0.0
     squared = 0.0
     for lo in range((t_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, t_steps)
         if hi == t_steps:   # the newest block also takes row t_steps, where d = 0
-            ring[hi - lo, :, n_out:] = 0.0
+            ring[hi - lo, n_out:] = 0.0
             rows = hi - lo + 1
         else:   # row hi, the oldest row of the block after this one
             ring[hi - lo] = ring[0]
             rows = hi - lo
         first = max(lo, 1)   # h_0 has no target: err_0 = 0
-        err = ring[first - lo:rows, :, :n_out]
-        np.subtract(u[first + 1:lo + rows + 1, :, :n_out],
+        err = ring[first - lo:rows, :n_out]
+        np.subtract(u[first + 1:lo + rows + 1, :n_out],
                     y[first - 1:lo + rows - 1], out=err)
         if lo == 0:
-            ring[0, :, :n_out] = 0.0
+            ring[0, :n_out] = 0.0
         block_loss = float(np.sum(np.square(err)))   # pairwise summation
         # tanh is bounded, so a non-finite activation always makes the loss
         # non-finite; only then are the steps scanned for the first bad one
@@ -367,23 +386,33 @@ def _bptt_chunk(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
             return None, (None if finite.all() else int(np.argmin(finite)))
         squared += block_loss
 
+        # the block's gains alpha * tanh'(a_t), t = lo .. hi - 1, in its d slots
+        gain = ring[:hi - lo, n_out:]
+        if alpha == 1.0:
+            np.square(h[lo + 1:hi + 1], out=gain)
+        else:
+            np.multiply(h[lo:hi], 1.0 - alpha, out=gain)
+            np.subtract(h[lo + 1:hi + 1], gain, out=gain)
+            gain /= alpha   # tanh(a_t)
+            np.square(gain, out=gain)
+        np.subtract(1.0, gain, out=gain)
+        if alpha != 1.0:
+            gain *= alpha
         for t in range(hi - 1, lo - 1, -1):
-            np.matmul(ring[t - lo + 1], w_back, out=dh)   # dL/dh_{t+1} minus the leak
-            if alpha == 1.0:
-                np.square(h[t + 1], out=gain)
-            else:
-                np.multiply(h[t], 1.0 - alpha, out=gain)
-                np.subtract(h[t + 1], gain, out=gain)
-                gain /= alpha   # tanh(a_t)
-                np.square(gain, out=gain)
-            np.subtract(1.0, gain, out=gain)
+            np.matmul(w_back, ring[t - lo + 1], out=dh)   # dL/dh_{t+1} minus the leak
             if alpha != 1.0:
                 dh += leak
                 np.multiply(dh, 1.0 - alpha, out=leak)
-                gain *= alpha
-            np.multiply(dh, gain, out=ring[t - lo, :, n_out:])
-        g += (ring[:rows].reshape(rows * batch, -1).T
-              @ u[lo:lo + rows, :, n_out:].reshape(rows * batch, -1))
+            ring[t - lo, n_out:] *= dh
+        for j in range(0, rows, _GRAD_GROUP):
+            k = min(_GRAD_GROUP, rows - j)
+            np.matmul(ring[j:j + k], u[lo + j:lo + j + k, n_out:].transpose(0, 2, 1),
+                      out=products[:k])
+            while k > 1:   # pairwise, in place: half the rounding of a running sum
+                half = k // 2
+                products[:half] += products[k - half:k]
+                k -= half
+            g += products[0]
     return g, squared
 
 
@@ -518,7 +547,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
 
     The forward pass runs one chunk of trials (``_chunk_bounds``) at a
     time, in blocks of ``_BLOCK_STEPS`` steps through a
-    [_BLOCK_STEPS + 2, chunk, n_out + n + n_in + 1] buffer: ``_recurrence``
+    [_BLOCK_STEPS + 2, n_out + n + n_in + 1, chunk] buffer of
+    [features, trials] slabs, as ``batch_forward``'s: ``_recurrence``
     starts each block from the state in row 0, and the block's last state
     goes there for the next one (``_forward_chunk``). Only the chunk's
     readouts are kept, so memory does not grow with the number of trials or
@@ -552,7 +582,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     def run(lo, hi, flat, readouts):
         z, ys = readouts[:hi - lo], y[lo:hi]
         _forward_chunk(w, model_cfg, x[lo:hi],
-                       _time_major(_BLOCK_STEPS + 2, hi - lo, width, flat), z)
+                       _buffer((_BLOCK_STEPS + 2, width, hi - lo), flat), z)
         valid = _clean_hold_mask(events[lo:hi], ys, cfg, transition_pad)
         # sign(z) == ys wherever ys is +-1, as on every clean hold
         ok = np.where(ys > 0, z > 0, z < 0).all(axis=2) & valid
@@ -561,8 +591,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         return float(np.sum(z)), int(ok.sum()), int(valid.sum())
 
     results = _run_chunks(run, _chunk_bounds(trials, model_cfg.n_units),
-                          lambda lo, hi: (np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
-                                          np.empty((hi - lo, t_steps, n_out))))
+                          lambda k, lo, hi: (np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
+                                             np.empty((hi - lo, t_steps, n_out))))
     squared, matched, considered = 0.0, 0, 0
     for s, m, c in results:   # in chunk order
         squared, matched, considered = squared + s, matched + m, considered + c
@@ -575,19 +605,19 @@ def _forward_chunk(w: np.ndarray, config: ModelConfig, x: np.ndarray,
                    u: np.ndarray, z: np.ndarray) -> None:
     """``evaluate``'s forward pass over the [trials, t_steps, n_in] inputs
     ``x`` of one chunk, from the zero state, in blocks of ``_BLOCK_STEPS``
-    steps through the [_BLOCK_STEPS + 2, trials, ...] buffer ``u``, with the
-    step matrix ``w``; writes the readouts into [trials, t_steps, n_out]
-    ``z``."""
+    steps through the [_BLOCK_STEPS + 2, ..., trials] buffer ``u`` of
+    [features, trials] slabs, with the step matrix ``w``; writes the
+    readouts into [trials, t_steps, n_out] ``z``."""
     t_steps = x.shape[1]
     n, n_out = config.n_units, config.n_out
-    u[0, :, n_out:n_out + n] = 0.0
+    u[0, n_out:n_out + n] = 0.0
     for t in range(0, t_steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, t_steps - t)
         _recurrence(w, config, x[:, t:t + k], u)
         if t:   # the previous block's last readout, from the step GEMM
-            z[:, t - 1] = u[1, :, :n_out]
-        z[:, t:t + k] = u[2:k + 2, :, :n_out].transpose(1, 0, 2)
-        u[0, :, n_out:n_out + n] = u[k, :, n_out:n_out + n]
+            z[:, t - 1] = u[1, :n_out].T
+        z[:, t:t + k] = u[2:k + 2, :n_out].transpose(2, 0, 1)
+        u[0, n_out:n_out + n] = u[k, n_out:n_out + n]
 
 
 @dataclass

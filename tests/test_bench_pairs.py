@@ -57,6 +57,17 @@ def test_different_benchmark_exits_2_before_running(tmp_path, capsys, edit, name
     assert not (tmp_path / "o.json").exists()
 
 
+def test_paths_of_different_lengths_exit_2_before_running(tmp_path, capsys):
+    # the directory a run starts in moves the heap layout and so peak_rss_mb
+    parent, change = make_root(tmp_path / "a"), make_root(tmp_path / "bc")
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 2
+    lengths = len(str(parent.resolve())), len(str(change.resolve()))
+    assert lengths[1] == lengths[0] + 1
+    assert (f"paths differ in length: parent {lengths[0]}, change {lengths[1]}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_failed_run_exits_1_with_its_stderr(tmp_path, capsys):
     parent, change = make_root(tmp_path / "a"), make_root(tmp_path / "b")
     assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 1

@@ -220,9 +220,10 @@ class TestBpttGradients:
             bptt_gradients(params, cfg, x, np.zeros((2, 6, 3)))
 
     def test_peak_memory_bounded(self):
-        # without a workspace a call allocates the time-major [z | h | x | 1]
+        # without a workspace a call allocates the time-major [z; h; x; 1]
         # history, about 1.1 [batch, t, n] arrays at 64 units, the
-        # (_BLOCK_STEPS + 1)-row [err | d] ring and a few small ones
+        # (_BLOCK_STEPS + 3)-row [err; d] ring, the weight-gradient
+        # products and a few small ones
         cfg = ModelConfig(n_units=64)
         params = init_params(cfg, SeededRng(43))
         rng = SeededRng(44)
@@ -238,12 +239,15 @@ class TestBpttGradients:
         trajectory = 32 * 200 * 64 * 8
         assert peak <= 1.5 * trajectory, f"peak {peak / trajectory:.2f} trajectories"
 
+    @pytest.mark.parametrize("n_units", [64, 128])
     @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_workspace_peak_memory(self, dt):
-        # with a workspace a call allocates only [batch, n]-sized scratch, one
-        # block's squared errors and the gradients, at dt = tau and at
-        # dt < tau alike
-        cfg = ModelConfig(n_units=64, dt=dt)
+    def test_workspace_peak_memory(self, dt, n_units):
+        # with a workspace a call allocates only the step matrices, one
+        # block's squared errors, numpy's buffers for the block's strided
+        # slabs and the gradients, at dt = tau and at dt < tau alike; the
+        # weight-gradient products, 8 [n, n] matrices, would not fit at 128
+        # units
+        cfg = ModelConfig(n_units=n_units, dt=dt)
         params = init_params(cfg, SeededRng(45))
         rng = SeededRng(46)
         x = rng.gen.normal(size=(32, 200, 3))
@@ -256,7 +260,7 @@ class TestBpttGradients:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        states = 201 * 32 * 64 * 8
+        states = 201 * 32 * n_units * 8
         assert peak <= 0.1 * states, f"peak {peak / states:.3f} state arrays"
 
     def test_empty_batch_rejected(self):
@@ -589,11 +593,14 @@ class TestShardedBptt:
         params, cfg, x, y = random_problem(8, 128, _BLOCK_STEPS + 4, dt=0.5)
         grads, batch_loss = bptt_gradients(params, cfg, x, y)
         n = cfg.n_units
-        u = np.empty((x.shape[1] + 2, 128, 3 + n + 3 + 1))
-        ring = np.empty((_BLOCK_STEPS + 1, 128, 3 + n))
-        w_back = np.concatenate([(2.0 / y.size) * params.w_out, params.w_rec])
+        # [features, trials] slabs: the history, the ring with its two rows
+        # of [n, trials] scratch, and the weight-gradient products
+        u = np.empty((x.shape[1] + 2, 3 + n + 3 + 1, 128))
+        ring = np.empty((_BLOCK_STEPS + 3, 3 + n, 128))
+        products = np.empty((training._GRAD_GROUP, 3 + n, n + 3 + 1))
+        w_back = np.concatenate([(2.0 / y.size) * params.w_out, params.w_rec]).T.copy()
         g, squared = training._bptt_chunk(training._step_matrix(params), w_back,
-                                          cfg, x, y, u, ring)
+                                          cfg, x, y, u, ring, products)
         assert batch_loss == squared / y.size
         npt.assert_array_equal(grads.w_rec, g[3:, :n])
         npt.assert_array_equal(grads.w_in, g[3:, n:-1])

@@ -21,7 +21,11 @@ workloads can be run one at a time into the same file.
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
 exits 2 before it runs anything, since a pairing of two different
-benchmarks measures no change of the program. A run that exits non-zero,
+benchmarks measures no change of the program. It exits 2 the same way when
+the two roots' absolute paths differ in length: the length of the directory
+a run starts in shifts the glibc heap layout, and with it ``peak_rss_mb``
+(``train-64x4`` read 135 or 154 MB for the same code from two directories,
+against its 5% bound). A run that exits non-zero,
 or whose result line reports ``"correct": false`` or failed operations,
 stops the script with exit 1: it names the side and the pair and prints
 the last lines of the run's stderr, and ``--out`` is left as it was. So
@@ -59,6 +63,11 @@ def benchmark_difference(parent: Path, change: Path) -> str | None:
     a, b = benchmark_files(parent), benchmark_files(change)
     return next((name for name in sorted(a.keys() | b.keys())
                  if a.get(name) != b.get(name)), None)
+
+
+def path_lengths(parent: Path, change: Path) -> tuple:
+    """The lengths of the two roots' absolute paths, symbolic links resolved."""
+    return len(str(parent.resolve())), len(str(change.resolve()))
 
 
 # lines of a failed run's stderr that the script prints
@@ -135,6 +144,11 @@ def main(argv=None) -> int:
     if differs is not None:
         print(f"the benchmark differs between the checkouts: {differs}",
               file=sys.stderr)
+        return 2
+    lengths = path_lengths(args.parent, args.change)
+    if lengths[0] != lengths[1]:
+        print(f"the checkouts' paths differ in length: parent {lengths[0]}, "
+              f"change {lengths[1]} characters", file=sys.stderr)
         return 2
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
