@@ -5,12 +5,23 @@ Gaussian noise on every entry; targets hold the commanded state (+1 / -1,
 0 before a channel's first command) and switch ``delay_steps`` after a pulse's
 falling edge. Trial i of a dataset is generated from a seed derived from
 (config.seed, i), so any single sample can be regenerated in isolation.
+
+The stream contract: trial i reads the PCG64 stream of ``trial_rng(config,
+i)``. Its events come first: on each channel in turn, a gap in [min_gap,
+max_gap] and then a sign, repeated while the pulse fits. Each is drawn by
+Lemire's bounded method on the stream's 32-bit halves, each 64-bit output
+low half first, which gives exactly the values of ``Generator.integers``,
+its rare redraws included. The noise is the ``Generator.normal(0,
+noise_std)`` draws that follow; they start at the next whole 64-bit output.
+A dataset is built 64 trials at a time, their events drawn in lockstep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -21,6 +32,8 @@ from .tensorio import config_from, read_tensor, write_json, write_tensor
 
 PROBE_STEPS = 600
 PROBE_HOLD_MIN = 60
+_BLOCK_TRIALS = 64   # trials whose events are drawn in lockstep
+_LOW_HALF = 0xFFFFFFFF
 
 # state sequence for the probe: one channel flips per transition
 GRAY_ORDER = ("000", "001", "011", "010", "110", "111", "101", "100")
@@ -47,6 +60,8 @@ class TaskConfig:
             raise ValueError("min_gap must be <= max_gap")
         if self.min_gap < 0:
             raise ValueError("gaps must be non-negative")
+        if self.max_gap - self.min_gap >= 1 << 32:
+            raise ValueError("max_gap - min_gap must be < 2**32")
         if self.delay_steps < 0:
             raise ValueError("delay_steps must be >= 0")
         if self.t_steps <= self.pulse_width + self.delay_steps:
@@ -93,7 +108,6 @@ def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
     holds until overridden. Effects beyond the horizon never show. Overlapping
     pulses on one channel are rejected.
     """
-    targets = np.zeros((t_steps, n_bits))
     last_end = {}
     prev_step = None
     for step, channel, sign in events:
@@ -111,48 +125,177 @@ def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
                 f"overlapping pulses on channel {channel} at step {step}"
             )
         last_end[channel] = step + pulse_width
-        effect = step + pulse_width + delay_steps
-        if effect < t_steps:
-            targets[effect:, channel] = sign
-    return targets
+    targets = np.zeros((1, t_steps, n_bits))
+    _write_targets(targets, *_event_arrays(events), pulse_width, delay_steps)
+    return targets[0]
 
 
-def _draw_events(config: TaskConfig, rng: SeededRng) -> tuple:
+class _Halves:
+    """The 32-bit halves of a block of PCG64 streams, in the order that
+    ``next_uint32`` hands them out: a buffered half first, then each 64-bit
+    output's low half and its high half, split by shifts, so byte order does
+    not matter.
+
+    Column 0 holds each stream's buffered half, and ``pos`` starts there only
+    for a stream that has one. Raw outputs are read from the bit generators
+    as the draws need them, so those run ahead of ``pos``; ``starts`` keeps
+    the state each stream began in.
+    """
+
+    def __init__(self, bit_generators, width: int):
+        self.bit_generators = bit_generators
+        self.starts = [bg.state for bg in bit_generators]
+        self.pos = np.array([1 - s["has_uint32"] for s in self.starts])
+        self.halves = np.array([[s["uinteger"]] for s in self.starts], dtype=np.uint64)
+        self._read(width)
+
+    def _read(self, n: int):
+        raw = np.stack([bg.random_raw(n) for bg in self.bit_generators])
+        more = np.empty((len(raw), 2 * n), dtype=np.uint64)
+        more[:, 0::2] = raw & _LOW_HALF
+        more[:, 1::2] = raw >> 32
+        self.halves = np.concatenate([self.halves, more], axis=1)
+
+    def _take(self, rows: np.ndarray) -> np.ndarray:
+        pos = self.pos[rows]
+        if pos.max() >= self.halves.shape[1]:
+            self._read(self.halves.shape[1])
+        self.pos[rows] = pos + 1
+        return self.halves[rows, pos]
+
+    def integers(self, rows: np.ndarray, span: int) -> np.ndarray:
+        """``Generator.integers(0, span)`` once on each stream of ``rows``,
+        1 <= span <= 2**32: Lemire's bounded method, redraws included, as
+        numpy runs it. A span of 1 draws nothing."""
+        out = np.zeros(len(rows), dtype=np.uint64)
+        if span > 1:
+            m = self._take(rows) * np.uint64(span)
+            out = m >> 32
+            threshold = (1 << 32) % span
+            redo = np.flatnonzero((m & _LOW_HALF) < threshold)
+            while redo.size:
+                m = self._take(rows[redo]) * np.uint64(span)
+                out[redo] = m >> 32
+                redo = redo[(m & _LOW_HALF) < threshold]
+        return out.astype(np.int64)
+
+    def seek(self, b: int, bit_generator):
+        """Set ``bit_generator`` to stream b's next whole 64-bit output; its
+        buffered half, which no normal draw reads, is dropped."""
+        bit_generator.state = self.starts[b]
+        bit_generator.advance(int(self.pos[b]) // 2)
+
+    def buffer(self, b: int) -> dict:
+        """Stream b's ``has_uint32`` and ``uinteger`` after the halves taken."""
+        pos = int(self.pos[b])
+        if pos < 2:
+            return {"has_uint32": 1 - pos, "uinteger": self.starts[b]["uinteger"]}
+        return {"has_uint32": 1 - pos % 2, "uinteger": int(self.halves[b, pos - pos % 2])}
+
+
+def _first_read(config: TaskConfig) -> int:
+    """Raw outputs to read per stream at first: enough for every draw of the
+    busiest possible trial without a redraw (a gap and a sign per pulse that
+    fits, and the gap that does not, on each channel), at most 512."""
+    room = config.t_steps - config.pulse_width
+    pulses = (max(room - config.min_gap, -1) // (config.min_gap + config.pulse_width)) + 1
+    return min(config.n_bits * (2 * pulses + 1) // 2 + 1, 512)
+
+
+def _draw_events(config: TaskConfig, halves: _Halves):
     """Per channel, gap ~ U[min_gap, max_gap] then a pulse of equiprobable
-    sign, repeated while it fits; sorted by (onset, channel)."""
-    events = []
+    sign, repeated while it fits; drawn in lockstep over the streams still
+    drawing, channel by channel. Returns the (trial, onset, channel, sign)
+    arrays ordered by trial, onset and channel."""
+    room = config.t_steps - config.pulse_width   # the latest onset that fits
+    span = config.max_gap - config.min_gap + 1
+    low = min(config.min_gap, room + 1)   # a longer gap fits no better
+    trials = len(halves.starts)
+    drawn = [np.zeros((4, 0), dtype=np.int64)]
     for channel in range(config.n_bits):
-        t = 0
-        while True:
-            gap = int(rng.gen.integers(config.min_gap, config.max_gap + 1))
-            onset = t + gap
-            if onset + config.pulse_width > config.t_steps:
-                break
-            sign = 1 if rng.gen.integers(0, 2) == 1 else -1
-            events.append((onset, channel, sign))
-            t = onset + config.pulse_width
-    events.sort(key=lambda e: (e[0], e[1]))
-    return tuple(events)
+        free = np.zeros(trials, dtype=np.int64)   # where the last pulse ended
+        rows = np.arange(trials)
+        while rows.size:
+            onset = free[rows] + low + halves.integers(rows, span)
+            fits = onset <= room
+            rows, onset = rows[fits], onset[fits]
+            if rows.size:
+                sign = 2 * halves.integers(rows, 2) - 1
+                drawn.append(np.stack([rows, onset, np.full_like(rows, channel), sign]))
+                free[rows] = onset + config.pulse_width
+    trial, onset, channel, sign = events = np.concatenate(drawn, axis=1)
+    return tuple(events[:, np.lexsort((channel, onset, trial))])
 
 
-def _pulse_trial(config: TaskConfig, events) -> Trial:
-    """The noiseless trial of ``events``: square pulses of ``pulse_amp`` as
-    inputs and the ``flipflop_oracle`` states as targets."""
-    inputs = np.zeros((config.t_steps, config.n_bits))
-    for onset, channel, sign in events:
-        inputs[onset:onset + config.pulse_width, channel] = sign * config.pulse_amp
-    targets = flipflop_oracle(events, config.t_steps, config.delay_steps,
-                              config.n_bits, config.pulse_width)
-    return Trial(inputs, targets, events=tuple(events), config=config)
+def _event_tuples(trials: int, trial, onset, channel, sign) -> list:
+    """Per trial, the tuple of its plain-int (onset, channel, sign) events."""
+    rows = list(zip(onset.tolist(), channel.tolist(), sign.tolist()))
+    ends = np.cumsum(np.bincount(trial, minlength=trials)).tolist()
+    return [tuple(rows[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _event_arrays(events) -> tuple:
+    """The (trial, onset, channel, sign) arrays of one trial's events."""
+    onset, channel, sign = np.array(events, dtype=np.int64).reshape(-1, 3).T
+    return np.zeros_like(onset), onset, channel, sign
+
+
+def _add_pulses(x, trial, onset, channel, sign, pulse_width: int, pulse_amp: float):
+    """Add each event's square pulse to x[trial, step, channel]. Pulses on
+    one channel never overlap, so no index repeats within one ``+=``."""
+    value = sign * pulse_amp
+    for j in range(pulse_width):
+        x[trial, onset + j, channel] += value
+
+
+def _write_targets(y, trial, onset, channel, sign, pulse_width: int, delay_steps: int):
+    """Write the flip-flop states of the events into the zeroed
+    y[trial, step, channel]: each event sets its channel to sign at
+    onset + pulse_width + delay_steps. Built as the running sum over steps of
+    each event's change of state, sign minus the sign before it on its
+    channel, which float64 sums exactly. The delay is an argument, so the
+    targets of any delay come from the same events."""
+    order = np.lexsort((onset, channel, trial))
+    trial, onset, channel, sign = trial[order], onset[order], channel[order], sign[order]
+    change = sign.astype(np.float64)
+    same = (trial[1:] == trial[:-1]) & (channel[1:] == channel[:-1])
+    change[1:][same] -= sign[:-1][same]
+    effect = onset + pulse_width + delay_steps
+    shown = effect < y.shape[1]
+    y[trial[shown], effect[shown], channel[shown]] = change[shown]
+    np.cumsum(y, axis=1, out=y)
+
+
+def _build(config: TaskConfig, halves: _Halves, x, y, noise) -> tuple:
+    """Draw the events of a block of trials and write the trials into its
+    zeroed x and y: each trial's noise from the ``noise`` Generator, set to
+    its stream after its events, then the pulses and the targets. Returns
+    the events as ``_draw_events`` does."""
+    events = _draw_events(config, halves)
+    if config.noise_std > 0:
+        for b in range(len(x)):
+            halves.seek(b, noise.bit_generator)
+            noise.standard_normal(out=x[b])
+        x *= config.noise_std
+        x += 0.0   # a product that underflowed to -0.0 reads +0.0, as 0 + std * z does
+    _add_pulses(x, *events, config.pulse_width, config.pulse_amp)
+    _write_targets(y, *events, config.pulse_width, config.delay_steps)
+    return events
 
 
 def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
-    """One random trial: the events of ``_draw_events``, then noise added to
-    every input entry from the same stream."""
-    trial = _pulse_trial(config, _draw_events(config, rng))
-    if config.noise_std > 0:
-        trial.inputs += rng.gen.normal(0.0, config.noise_std, trial.inputs.shape)
-    return trial
+    """One random trial from ``rng``'s stream, built as a dataset's are. It
+    leaves ``rng`` where drawing the events and then the noise with
+    ``rng.gen`` leaves it, a buffered 32-bit half included."""
+    bit_generator = rng.gen.bit_generator
+    halves = _Halves([bit_generator], _first_read(config))
+    x = np.zeros((1, config.t_steps, config.n_bits))
+    y = np.zeros_like(x)
+    events = _build(config, halves, x, y, rng.gen)
+    if not config.noise_std > 0:
+        halves.seek(0, bit_generator)
+    bit_generator.state = bit_generator.state | halves.buffer(0)
+    return Trial(x[0], y[0], events=_event_tuples(1, *events)[0], config=config)
 
 
 def trial_rng(config: TaskConfig, index: int) -> SeededRng:
@@ -161,17 +304,35 @@ def trial_rng(config: TaskConfig, index: int) -> SeededRng:
     return SeededRng(derive_seed(config.seed, f"trial|{index}"))
 
 
+def _blocks(config: TaskConfig, samples: int):
+    """(lo, hi, halves) of each block of at most ``_BLOCK_TRIALS`` trials:
+    the streams of ``trial_rng(config, i)`` for lo <= i < hi."""
+    for lo in range(0, samples, _BLOCK_TRIALS):
+        hi = min(lo + _BLOCK_TRIALS, samples)
+        streams = [np.random.PCG64(derive_seed(config.seed, f"trial|{i}"))
+                   for i in range(lo, hi)]
+        yield lo, hi, _Halves(streams, _first_read(config))
+
+
+def _mapped(shape: tuple) -> np.ndarray:
+    """A zeroed float64 array in an anonymous mapping of its own, unmapped
+    when the array is freed. A dataset freed from the heap would leave a
+    large free chunk there, or raise glibc's mmap threshold, and the next
+    one set up would grow the heap instead of reusing it."""
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
+
+
 def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.zeros((samples, config.t_steps, config.n_bits))
-    y = np.zeros_like(x)
+    x = _mapped((samples, config.t_steps, config.n_bits))
+    y = _mapped(x.shape)
+    noise = np.random.Generator(np.random.PCG64(0))   # reseated for each trial
     events = []
-    for i in range(samples):
-        trial = generate_trial(config, trial_rng(config, i))
-        x[i] = trial.inputs
-        y[i] = trial.targets
-        events.append(trial.events)
+    for lo, hi, halves in _blocks(config, samples):
+        drawn = _build(config, halves, x[lo:hi], y[lo:hi], noise)
+        events += _event_tuples(hi - lo, *drawn)
     return Dataset(x, y, config, events)
 
 
@@ -195,8 +356,12 @@ def generate_probe(config: TaskConfig) -> Trial:
     for k in range(1, 8):
         flipped = next(c for c in range(3) if states[k][c] != states[k - 1][c])
         events.append((k * spacing, flipped, states[k][flipped]))
-    return _pulse_trial(
-        dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0), events)
+    config = dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0)
+    inputs = np.zeros((1, PROBE_STEPS, 3))
+    _add_pulses(inputs, *_event_arrays(events), config.pulse_width, config.pulse_amp)
+    targets = flipflop_oracle(events, PROBE_STEPS, config.delay_steps, 3,
+                              config.pulse_width)
+    return Trial(inputs[0], targets, events=tuple(events), config=config)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list:
@@ -211,7 +376,8 @@ def save_dataset(dataset: Dataset, out_dir) -> list:
 
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory. Each sample's events are drawn again from
-    ``trial_rng(config, i)``, which yields them before any noise."""
+    ``trial_rng(config, i)``, which yields them before any noise, 64 trials
+    at a time and with no noise drawn."""
     config_path = os.path.join(in_dir, "config.json")
     if not os.path.isfile(config_path):
         raise FileNotFoundError(f"no config.json under {in_dir}")
@@ -223,5 +389,7 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"inconsistent dataset tensors: x {x.shape}, y {y.shape}")
     if x.shape[1:] != (config.t_steps, config.n_bits):
         raise ValueError(f"dataset tensors {x.shape} do not match config.json")
-    events = [_draw_events(config, trial_rng(config, i)) for i in range(x.shape[0])]
+    events = []
+    for lo, hi, halves in _blocks(config, x.shape[0]):
+        events += _event_tuples(hi - lo, *_draw_events(config, halves))
     return Dataset(x, y, config, events)

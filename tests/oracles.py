@@ -84,3 +84,49 @@ def clean_hold_oracle(events, y, pulse_width, delay, pad):
                       for onset, _, _ in events)
         valid[t] = committed and not blocked
     return valid
+
+
+def draw_events(config, rng):
+    """A trial's pulse events from scalar ``Generator.integers`` calls: per
+    channel, a gap in [min_gap, max_gap] and then a sign, while the pulse
+    fits; sorted by (onset, channel)."""
+    events = []
+    for channel in range(config.n_bits):
+        t = 0
+        while True:
+            gap = int(rng.gen.integers(config.min_gap, config.max_gap + 1))
+            onset = t + gap
+            if onset + config.pulse_width > config.t_steps:
+                break
+            sign = 1 if rng.gen.integers(0, 2) == 1 else -1
+            events.append((onset, channel, sign))
+            t = onset + config.pulse_width
+    events.sort(key=lambda e: (e[0], e[1]))
+    return tuple(events)
+
+
+def build_trial(config, rng):
+    """(inputs, targets, events) of one trial drawn from ``rng``: the events,
+    each pulse written entry by entry, the replayed targets, then
+    ``Generator.normal`` noise added from the same stream."""
+    events = draw_events(config, rng)
+    inputs = np.zeros((config.t_steps, config.n_bits))
+    for onset, channel, sign in events:
+        for step in range(onset, onset + config.pulse_width):
+            inputs[step, channel] = sign * config.pulse_amp
+    targets = replay_oracle(events, config.t_steps, config.delay_steps,
+                            config.n_bits, config.pulse_width)
+    if config.noise_std > 0:
+        inputs += rng.gen.normal(0.0, config.noise_std, inputs.shape)
+    return inputs, targets, events
+
+
+def build_dataset(config, samples):
+    """(x, y, events) of a dataset, one trial at a time, trial i from the
+    stream seeded with ``derive_seed(config.seed, f"trial|{i}")``."""
+    from ffrnn.linalg import SeededRng, derive_seed
+
+    trials = [build_trial(config, SeededRng(derive_seed(config.seed, f"trial|{i}")))
+              for i in range(samples)]
+    return (np.stack([t[0] for t in trials]), np.stack([t[1] for t in trials]),
+            [t[2] for t in trials])

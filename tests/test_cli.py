@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,8 @@ from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, init_params, load_checkpoint, save_checkpoint
 from ffrnn.task import Dataset, TaskConfig, generate_dataset, load_dataset, save_dataset
-from ffrnn.tensorio import sha256_file
+from ffrnn.tensorio import read_tensor, sha256_file
+from oracles import build_dataset
 
 
 def run_cli(*args):
@@ -508,6 +510,49 @@ def test_fuzzed_dataset_config_exits_0_or_2(fuzz_data, changed, dropped):
     task = {k: v for k, v in task.items() if k not in dropped} | changed
     (root / "config.json").write_text(json.dumps(task))
     assert run_cli("eval", "--checkpoint", root / "ckpt", "--data", root) in (0, 2)
+
+
+@st.composite
+def gen_flags(draw):
+    """Valid ``gen`` flags, or flags with one value that TaskConfig
+    rejects."""
+    width, delay = draw(st.integers(1, 12)), draw(st.integers(0, 30))
+    min_gap = draw(st.integers(0, 60))
+    flags = {"samples": draw(st.integers(1, 70)), "bits": draw(st.integers(1, 4)),
+             "steps": width + delay + draw(st.integers(1, 80)),
+             "pulse_width": width, "delay": delay, "min_gap": min_gap,
+             "max_gap": min_gap + draw(st.integers(0, 60)),
+             "noise": draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))}
+    bad = {"bits": 0, "pulse_width": 0, "delay": -1, "min_gap": -1,
+           "max_gap": min_gap - 1, "steps": width + delay, "noise": -0.05}
+    key = draw(st.sampled_from([None] * len(bad) + sorted(bad)))
+    return flags | ({key: bad[key]} if key else {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(flags=gen_flags())
+def test_fuzzed_gen_exits_0_with_reference_data_or_2(flags):
+    try:
+        cfg = TaskConfig(n_bits=flags["bits"], t_steps=flags["steps"],
+                         pulse_width=flags["pulse_width"], min_gap=flags["min_gap"],
+                         max_gap=flags["max_gap"], noise_std=flags["noise"],
+                         delay_steps=flags["delay"], seed=9)
+    except ValueError:
+        cfg = None
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "d")
+        # --flag=value, so that argparse reads a value such as -1e-05 as one
+        code = run_cli("gen", "--out", out, "--seed", 9,
+                       *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items()))
+        event(f"gen exit {code}")
+        if cfg is None:
+            assert code == 2
+            return
+        assert code == 0
+        x, y, _ = build_dataset(cfg, flags["samples"])
+        npt.assert_array_equal(read_tensor(os.path.join(out, "x.rnt")),
+                               x.astype(np.float32))
+        npt.assert_array_equal(read_tensor(os.path.join(out, "y.rnt")), y)
 
 
 @pytest.fixture(scope="module")

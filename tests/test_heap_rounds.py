@@ -1,0 +1,27 @@
+"""tools/heap_rounds.py runs a benchmark workload in process and prints one
+line of memory figures after each set-up and round."""
+
+import ctypes
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LINE = re.compile(r"(setup|round) \d+ +rss +[\d.]+ +maxrss +[\d.]+ +arena +[\d.]+ "
+                  r"+free +[\d.]+ +top +[\d.]+")
+
+
+def test_one_round_of_cli_analyse():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "heap_rounds.py"),
+         "--workload", "cli-analyse", "--rounds", "1", "--gap", "0"],
+        capture_output=True, text=True, timeout=300)
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        assert run.returncode == 2 and "mallinfo2" in run.stderr
+        return
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split()[0] + line.split()[1] for line in lines] == [
+        "setup0", "round0", "setup1"]
+    assert all(LINE.fullmatch(line) for line in lines), lines
