@@ -198,7 +198,8 @@ def _first_read(config: TaskConfig) -> int:
     busiest possible trial without a redraw (a gap and a sign per pulse that
     fits, and the gap that does not, on each channel), at most 512."""
     room = config.t_steps - config.pulse_width
-    pulses = (max(room - config.min_gap, -1) // (config.min_gap + config.pulse_width)) + 1
+    pulses = 0 if config.min_gap > room else (
+        (room - config.min_gap) // (config.min_gap + config.pulse_width) + 1)
     return min(config.n_bits * (2 * pulses + 1) // 2 + 1, 512)
 
 
@@ -292,7 +293,7 @@ def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
     x = np.zeros((1, config.t_steps, config.n_bits))
     y = np.zeros_like(x)
     events = _build(config, halves, x, y, rng.gen)
-    if not config.noise_std > 0:
+    if not config.noise_std > 0:   # no noise drawn: still where the reads ended
         halves.seek(0, bit_generator)
     bit_generator.state = bit_generator.state | halves.buffer(0)
     return Trial(x[0], y[0], events=_event_tuples(1, *events)[0], config=config)
@@ -315,12 +316,15 @@ def _blocks(config: TaskConfig, samples: int):
 
 
 def _mapped(shape: tuple) -> np.ndarray:
-    """A zeroed float64 array in an anonymous mapping of its own, unmapped
-    when the array is freed. A dataset freed from the heap would leave a
-    large free chunk there, or raise glibc's mmap threshold, and the next
-    one set up would grow the heap instead of reusing it."""
+    """A zeroed float64 array in a private anonymous mapping of its own,
+    unmapped when the array is freed. A dataset freed from the heap would
+    leave a large free chunk there, or raise glibc's mmap threshold, and the
+    next one set up would grow the heap instead of reusing it. Every page is
+    written, so the mapping is populated up front, where the kernel can
+    do so far faster than one page fault at a time."""
     count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 8 * count, flags=flags), count=count).reshape(shape)
 
 
 def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
@@ -328,7 +332,7 @@ def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
         raise ValueError("samples must be >= 1")
     x = _mapped((samples, config.t_steps, config.n_bits))
     y = _mapped(x.shape)
-    noise = np.random.Generator(np.random.PCG64(0))   # reseated for each trial
+    noise = np.random.Generator(np.random.PCG64(0))   # set to each trial's stream
     events = []
     for lo, hi, halves in _blocks(config, samples):
         drawn = _build(config, halves, x[lo:hi], y[lo:hi], noise)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffrnn import task
@@ -265,6 +265,8 @@ class TestStreamIdentity:
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=task_configs(), samples=st.sampled_from([1, 63, 64, 65, 129]))
+    # a gap span of 3 * 2**30 redraws about a quarter of the gaps
+    @example(cfg=TaskConfig(min_gap=0, max_gap=(3 << 30) - 1, seed=5), samples=65)
     def test_dataset_and_loaded_events_match_reference(self, cfg, samples):
         x, y, events = build_dataset(cfg, samples)
         ds = generate_dataset(cfg, samples)
