@@ -320,8 +320,8 @@ def _mapped(shape: tuple) -> np.ndarray:
     unmapped when the array is freed. A dataset freed from the heap would
     leave a large free chunk there, or raise glibc's mmap threshold, and the
     next one set up would grow the heap instead of reusing it. Every page is
-    written, so the mapping is populated up front, where the kernel can
-    do so far faster than one page fault at a time."""
+    written, so the mapping is populated up front, which the kernel does
+    faster than one page fault at a time."""
     count = math.prod(shape)
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
     return np.frombuffer(mmap.mmap(-1, 8 * count, flags=flags), count=count).reshape(shape)
