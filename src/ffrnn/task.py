@@ -167,16 +167,16 @@ class _Halves:
         """``Generator.integers(0, span)`` once on each stream of ``rows``,
         1 <= span <= 2**32: Lemire's bounded method, redraws included, as
         numpy runs it. A span of 1 draws nothing."""
-        out = np.zeros(len(rows), dtype=np.uint64)
-        if span > 1:
-            m = self._take(rows) * np.uint64(span)
-            out = m >> 32
-            threshold = (1 << 32) % span
-            redo = np.flatnonzero((m & _LOW_HALF) < threshold)
-            while redo.size:
-                m = self._take(rows[redo]) * np.uint64(span)
-                out[redo] = m >> 32
-                redo = redo[(m & _LOW_HALF) < threshold]
+        if span == 1:
+            return np.zeros(len(rows), dtype=np.int64)
+        m = self._take(rows) * np.uint64(span)
+        out = m >> 32
+        threshold = (1 << 32) % span
+        redo = np.flatnonzero((m & _LOW_HALF) < threshold)
+        while redo.size:
+            m = self._take(rows[redo]) * np.uint64(span)
+            out[redo] = m >> 32
+            redo = redo[(m & _LOW_HALF) < threshold]
         return out.astype(np.int64)
 
     def seek(self, b: int, bit_generator):

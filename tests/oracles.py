@@ -6,6 +6,8 @@ shared helpers) so comparisons stay meaningful.
 
 import numpy as np
 
+from ffrnn.linalg import SeededRng, derive_seed
+
 
 def replay_oracle(events, t_steps, delay_steps, n_bits, pulse_width):
     """Walk time forward step by step, applying scheduled state flips."""
@@ -124,8 +126,6 @@ def build_trial(config, rng):
 def build_dataset(config, samples):
     """(x, y, events) of a dataset, one trial at a time, trial i from the
     stream seeded with ``derive_seed(config.seed, f"trial|{i}")``."""
-    from ffrnn.linalg import SeededRng, derive_seed
-
     trials = [build_trial(config, SeededRng(derive_seed(config.seed, f"trial|{i}")))
               for i in range(samples)]
     return (np.stack([t[0] for t in trials]), np.stack([t[1] for t in trials]),
