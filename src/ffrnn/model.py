@@ -21,11 +21,7 @@ on one contiguous slab (``_recurrence``). The caller builds the step
 matrix once per call (``_step_matrix``) and leaves the start state in
 row 0: ``batch_forward`` and ``training.bptt_gradients`` zero it, and
 ``training.evaluate`` carries the last state of one block of steps into
-the next. Where BLAS leaves a core idle, ``bptt_gradients`` and
-``evaluate`` run the recurrence on several chunks of trials at once, cut
-by the trial count and the network size alone. So the gradients depend on
-the number of cores only by whether BLAS leaves one idle, and the metrics
-not at all.
+the next.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@ falling edge. Trial i of a dataset is generated from a seed derived from
 (config.seed, i), so any single sample can be regenerated in isolation.
 
 The stream contract: trial i reads the PCG64 stream of ``trial_rng(config,
-i)``. Its events come first: on each channel in turn, a gap in [min_gap,
-max_gap] and then a sign, repeated while the pulse fits. Each is drawn by
-Lemire's bounded method on the stream's 32-bit halves, each 64-bit output
-low half first, which gives exactly the values of ``Generator.integers``,
-its rare redraws included. The noise is the ``Generator.normal(0,
-noise_std)`` draws that follow; they start at the next whole 64-bit output.
-A dataset is built 64 trials at a time, their events drawn in lockstep.
+i)`` from its next whole 64-bit output on. Its events come first: on each
+channel in turn, a gap in [min_gap, max_gap] and then a sign, repeated
+while the pulse fits. Each is drawn by Lemire's bounded method on the
+stream's 32-bit halves, each 64-bit output low half first, which gives
+exactly the values of ``Generator.integers`` on a fresh stream, its rare
+redraws included. The noise is the ``Generator.normal(0, noise_std)`` draws
+that follow; they start at the next whole 64-bit output. Where the stream
+is left afterwards is not part of the contract. A dataset is built 64
+trials at a time, their events drawn in lockstep.
 """
 
 from __future__ import annotations
@@ -98,55 +100,22 @@ class Dataset:
         return self.x.shape[0]
 
 
-def flipflop_oracle(events, t_steps: int, delay_steps: int, n_bits: int,
-                    pulse_width: int = 1) -> np.ndarray:
-    """Exact flip-flop state machine.
-
-    ``events`` are (onset_step, channel, sign) sorted by step, sign in
-    {+1, -1}. A channel is 0 until its first event takes effect; it becomes
-    sign at onset + pulse_width + delay_steps (falling edge plus delay) and
-    holds until overridden. Effects beyond the horizon never show. Overlapping
-    pulses on one channel are rejected.
-    """
-    last_end = {}
-    prev_step = None
-    for step, channel, sign in events:
-        if prev_step is not None and step < prev_step:
-            raise ValueError("events must be sorted by step")
-        prev_step = step
-        if not 0 <= channel < n_bits:
-            raise ValueError(f"channel {channel} out of range")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if step < 0 or step + pulse_width > t_steps:
-            raise ValueError(f"pulse at step {step} does not fit the trial")
-        if channel in last_end and step < last_end[channel]:
-            raise ValueError(
-                f"overlapping pulses on channel {channel} at step {step}"
-            )
-        last_end[channel] = step + pulse_width
-    targets = np.zeros((1, t_steps, n_bits))
-    _write_targets(targets, *_event_arrays(events), pulse_width, delay_steps)
-    return targets[0]
-
-
 class _Halves:
     """The 32-bit halves of a block of PCG64 streams, in the order that
-    ``next_uint32`` hands them out: a buffered half first, then each 64-bit
-    output's low half and its high half, split by shifts, so byte order does
-    not matter.
+    ``next_uint32`` hands them out on a fresh stream: each 64-bit output's low
+    half and then its high half, split by shifts, so byte order does not
+    matter.
 
-    Column 0 holds each stream's buffered half, and ``pos`` starts there only
-    for a stream that has one. Raw outputs are read from the bit generators
-    as the draws need them, so those run ahead of ``pos``; ``starts`` keeps
-    the state each stream began in.
+    Raw outputs are read from the bit generators as the draws need them, so
+    those run ahead of ``pos``, the halves each stream has taken; ``starts``
+    keeps the state each stream began in.
     """
 
     def __init__(self, bit_generators, width: int):
         self.bit_generators = bit_generators
         self.starts = [bg.state for bg in bit_generators]
-        self.pos = np.array([1 - s["has_uint32"] for s in self.starts])
-        self.halves = np.array([[s["uinteger"]] for s in self.starts], dtype=np.uint64)
+        self.pos = np.zeros(len(bit_generators), dtype=np.int64)
+        self.halves = np.empty((len(bit_generators), 0), dtype=np.uint64)
         self._read(width)
 
     def _read(self, n: int):
@@ -180,17 +149,10 @@ class _Halves:
         return out.astype(np.int64)
 
     def seek(self, b: int, bit_generator):
-        """Set ``bit_generator`` to stream b's next whole 64-bit output; its
-        buffered half, which no normal draw reads, is dropped."""
+        """Set ``bit_generator`` to stream b's next whole 64-bit output after
+        the halves taken."""
         bit_generator.state = self.starts[b]
-        bit_generator.advance(int(self.pos[b]) // 2)
-
-    def buffer(self, b: int) -> dict:
-        """Stream b's ``has_uint32`` and ``uinteger`` after the halves taken."""
-        pos = int(self.pos[b])
-        if pos < 2:
-            return {"has_uint32": 1 - pos, "uinteger": self.starts[b]["uinteger"]}
-        return {"has_uint32": 1 - pos % 2, "uinteger": int(self.halves[b, pos - pos % 2])}
+        bit_generator.advance((int(self.pos[b]) + 1) // 2)
 
 
 def _first_read(config: TaskConfig) -> int:
@@ -233,12 +195,6 @@ def _event_tuples(trials: int, trial, onset, channel, sign) -> list:
     rows = list(zip(onset.tolist(), channel.tolist(), sign.tolist()))
     ends = np.cumsum(np.bincount(trial, minlength=trials)).tolist()
     return [tuple(rows[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _event_arrays(events) -> tuple:
-    """The (trial, onset, channel, sign) arrays of one trial's events."""
-    onset, channel, sign = np.array(events, dtype=np.int64).reshape(-1, 3).T
-    return np.zeros_like(onset), onset, channel, sign
 
 
 def _add_pulses(x, trial, onset, channel, sign, pulse_width: int, pulse_amp: float):
@@ -285,17 +241,13 @@ def _build(config: TaskConfig, halves: _Halves, x, y, noise) -> tuple:
 
 
 def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
-    """One random trial from ``rng``'s stream, built as a dataset's are. It
-    leaves ``rng`` where drawing the events and then the noise with
-    ``rng.gen`` leaves it, a buffered 32-bit half included."""
-    bit_generator = rng.gen.bit_generator
-    halves = _Halves([bit_generator], _first_read(config))
+    """One random trial from ``rng``'s stream, built as a dataset's are: its
+    events and then its noise, from the stream's next whole 64-bit output
+    on. Where ``rng`` is left afterwards is not part of the contract."""
+    halves = _Halves([rng.gen.bit_generator], _first_read(config))
     x = np.zeros((1, config.t_steps, config.n_bits))
     y = np.zeros_like(x)
     events = _build(config, halves, x, y, rng.gen)
-    if not config.noise_std > 0:   # no noise drawn: still where the reads ended
-        halves.seek(0, bit_generator)
-    bit_generator.state = bit_generator.state | halves.buffer(0)
     return Trial(x[0], y[0], events=_event_tuples(1, *events)[0], config=config)
 
 
@@ -361,11 +313,13 @@ def generate_probe(config: TaskConfig) -> Trial:
         flipped = next(c for c in range(3) if states[k][c] != states[k - 1][c])
         events.append((k * spacing, flipped, states[k][flipped]))
     config = dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0)
-    inputs = np.zeros((1, PROBE_STEPS, 3))
-    _add_pulses(inputs, *_event_arrays(events), config.pulse_width, config.pulse_amp)
-    targets = flipflop_oracle(events, PROBE_STEPS, config.delay_steps, 3,
-                              config.pulse_width)
-    return Trial(inputs[0], targets, events=tuple(events), config=config)
+    onset, channel, sign = np.array(events, dtype=np.int64).T
+    arrays = (np.zeros_like(onset), onset, channel, sign)
+    x = np.zeros((1, PROBE_STEPS, 3))
+    y = np.zeros_like(x)
+    _add_pulses(x, *arrays, config.pulse_width, config.pulse_amp)
+    _write_targets(y, *arrays, config.pulse_width, config.delay_steps)
+    return Trial(x[0], y[0], events=tuple(events), config=config)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list:

@@ -145,8 +145,9 @@ def _usable_cores() -> int:
 
 def _blas_threads() -> int:
     """Threads per BLAS call: the first of these variables that is set to a
-    positive integer, else every usable core, as BLAS itself decides."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    positive integer, else every usable core, as BLAS itself decides.
+    numpy's wheels link OpenBLAS, which does not read ``MKL_NUM_THREADS``."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(var, ""))
         except ValueError:

@@ -192,4 +192,26 @@ def test_metric_without_bound_has_no_bound_verdict():
         {"parent": runs_of("m", [1, 2, 3]), "change": runs_of("m", [9, 9, 9])},
         [{"name": "m", "unit": "u", "better": "lower"}])["m"]
     assert summary["worse_than_bound"] is None
+    assert summary["unresolved"] is None
     assert summary["claimable"] is False
+
+
+@pytest.mark.parametrize("better, parent, change, unresolved", [
+    # parent IQR 40 on a median of 100, wider than the 25% bound
+    ("higher", [60, 80, 100, 120, 140], [100] * 5, True),
+    ("lower", [60, 80, 100, 120, 140], [150] * 5, True),
+    # as wide, but every change run reads better than every parent run
+    ("higher", [60, 80, 100, 120, 140], [150] * 5, False),
+    ("lower", [60, 80, 100, 120, 140], [50] * 5, False),
+    # a change run that ties the parent's best does not read better
+    ("lower", [60, 80, 100, 120, 140], [50] * 4 + [60], True),
+    # parent IQR 2 on a median of 100: inside the bound
+    ("higher", [99, 100, 101] * 3 + [100], [100] * 10, False),
+])
+def test_unresolved_when_the_spread_is_wider_than_the_bound(better, parent, change,
+                                                             unresolved):
+    metric = {"name": "m", "unit": "u", "better": better, "bound": 0.25}
+    summary = bench_pairs.summarise(
+        {"parent": runs_of("m", parent), "change": runs_of("m", change)},
+        [metric])["m"]
+    assert summary["unresolved"] is unresolved

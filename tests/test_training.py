@@ -395,9 +395,11 @@ class TestShardedBptt:
         ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "4"}, 2),
         ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, 3),
         ({"OMP_NUM_THREADS": "4,2"}, 5),
+        ({"MKL_NUM_THREADS": "1"}, 5),   # OpenBLAS does not read it
     ])
     def test_blas_threads(self, monkeypatch, threads, expected):
-        # the first variable set to a positive integer, else every usable core
+        # the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set to a
+        # positive integer, else every usable core
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in threads.items():

@@ -15,8 +15,13 @@ read the direction the metric is better in: ``claimable`` (at least 9 of
 10 pairs won, and the median moved the better way by more than the
 parent's interquartile range) and ``worse_than_bound`` (the median moved
 the worse way by more than the metric's relative ``bound``; null for a
-metric without one). Workloads already in ``--out`` are kept, so the
-workloads can be run one at a time into the same file.
+metric without one). A third, ``unresolved``, says the runs spread too
+widely to read either verdict: the parent's interquartile range is wider
+than the ``bound`` relative to the parent's median, and not every change
+run reads better than every parent run (null for a metric without a
+bound). Such a metric is reported as unresolved, not as unchanged.
+Workloads already in ``--out`` are kept, so the workloads can be run one
+at a time into the same file.
 
 Both checkouts must hold the same benchmark: if ``BENCHMARK.json`` or a file
 under ``perfbench/`` differs between them, the script names the file and
@@ -103,7 +108,8 @@ def spread(values: list) -> dict:
 def summarise(runs: dict, metrics: list) -> dict:
     """Per metric: both sides' spread, the median change, pairs won by the
     change, whether that change is larger than the parent's IQR in either
-    direction, and the two verdicts that read the better direction."""
+    direction, the two verdicts that read the better direction, and whether
+    the spread is too wide for them."""
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -114,6 +120,7 @@ def summarise(runs: dict, metrics: list) -> dict:
         # how far the median moved the better way; negative when worse
         gain = (b["median"] - a["median"]) * (1 if higher else -1)
         iqr = a["q3"] - a["q1"]
+        beats_every_run = min(new) > max(old) if higher else max(new) < min(old)
         bound = metric.get("bound")
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
@@ -124,6 +131,8 @@ def summarise(runs: dict, metrics: list) -> dict:
             "claimable": 10 * wins >= 9 * len(old) and gain > iqr,
             "worse_than_bound": (None if bound is None
                                  else -gain > bound * abs(a["median"])),
+            "unresolved": (None if bound is None
+                           else iqr > bound * abs(a["median"]) and not beats_every_run),
         }
     return out
 
