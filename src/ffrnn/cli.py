@@ -129,17 +129,19 @@ def cmd_train(args) -> int:
 
     metadata["loss_history"] = report.loss_per_epoch
     metadata["wall_time_s"] = report.wall_time
-    metadata["final_eval"] = dataclasses.asdict(report.final_eval)
+    metadata["final_eval"] = {**dataclasses.asdict(report.final_eval),
+                              "held_out_trials": report.held_out}
     outputs = save_checkpoint(args.out, params, model_cfg, metadata) + [history_path]
     final = report.final_eval
     summary = (f"final loss {report.loss_per_epoch[-1]:.6g}"
                if report.loss_per_epoch else "no epochs run")
+    scored = "held-out" if report.held_out else "training-set"
     return _finish(
         args.out, "train",
         {"model": dataclasses.asdict(model_cfg),
          "training": dataclasses.asdict(train_cfg)},
         {"seed": args.seed}, outputs, start,
-        f"{summary}\nheld-out mse {final.mse:.6g} "
+        f"{summary}\n{scored} mse {final.mse:.6g} "
         f"accuracy {final.state_accuracy:.4f}")
 
 

@@ -28,9 +28,9 @@ LR_FLOOR = 0.3
 BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 # central-difference step and pass bound of run_gradcheck
 GRADCHECK_STEP, GRADCHECK_TOLERANCE = 1e-5, 1e-4
-# steps per block of evaluate's forward pass and of the backward sweep of
-# bptt_gradients; a block's buffer, 4.4-4.7 MB at 128 units and 128 trials,
-# is small enough to stay in cache
+# steps per block of the backward sweep of bptt_gradients, and most steps
+# per block of evaluate's forward pass; a block's buffer, 4.4-4.7 MB at 128
+# units and 128 trials, is small enough to stay in cache
 _BLOCK_STEPS = 32
 # ring rows per batched GEMM of the weight gradients in bptt_gradients
 _GRAD_GROUP = 8
@@ -105,9 +105,13 @@ class EvalMetrics:
 
 @dataclass
 class TrainReport:
+    """``final_eval`` scores the ``held_out`` trials held out of training,
+    or the training set itself when that is 0."""
+
     loss_per_epoch: list = field(default_factory=list)
     wall_time: float = 0.0
     final_eval: EvalMetrics | None = None
+    held_out: int = 0
 
 
 def loss(z: np.ndarray, z_target: np.ndarray) -> float:
@@ -131,7 +135,8 @@ def bptt_workspace(config: ModelConfig, t_steps: int, batch: int):
     buffer for its first chunk would be, and worker k the k-th scratch of
     the third."""
     n, n_in, n_out = config.n_units, config.n_in, config.n_out
-    workers = max(1, min(_CHUNK_WORKERS, len(_chunk_bounds(batch, n))))
+    workers = max(1, min(_CHUNK_WORKERS,
+                         len(_chunk_bounds(batch, n, _CHUNK_TRIALS))))
     return (np.empty((t_steps + 2) * batch * (n_out + n + n_in + 1)),
             np.empty((min(t_steps, _BLOCK_STEPS) + 3) * batch * (n_out + n)),
             np.empty(workers * _GRAD_GROUP * (n_out + n) * (n + n_in + 1)))
@@ -157,8 +162,15 @@ def _blas_threads() -> int:
     return _usable_cores()
 
 
-# fewest trials per chunk of bptt_gradients and evaluate
+# most trials per chunk of bptt_gradients, and fewest worth a chunk of their
+# own (_min_chunk)
 _CHUNK_TRIALS = 64
+# most trials per chunk of evaluate. Its chunks run only the forward pass, so
+# fewer and wider GEMMs pay: at 128 units, one worker and one BLAS thread on
+# a 2-core x86 machine, 500 trials took 171 ms in two chunks, 222 ms in eight.
+# At most (_BLOCK_STEPS + 2) * _CHUNK_TRIALS // 3, so that the block rule of
+# evaluate gives one step at least
+_EVAL_TRIALS = 256
 # fewest state entries (trials x units) per step in a chunk. Smaller chunks
 # lose more to the per-step costs that every chunk repeats than the second
 # core gains: at one BLAS thread on 2 cores and 300 steps, a batch cut in
@@ -191,13 +203,25 @@ def _chunk_pool():
         return _POOL
 
 
-def _chunk_bounds(trials: int, n_units: int) -> list:
+def _min_chunk(n_units: int) -> int:
+    """The fewest trials worth a chunk of their own at ``n_units`` units:
+    max(_CHUNK_TRIALS, ceil(_MIN_CHUNK_STATES / n_units))."""
+    return max(_CHUNK_TRIALS, -(-_MIN_CHUNK_STATES // n_units))
+
+
+def _chunk_bounds(trials: int, n_units: int, cap: int) -> list:
     """[lo, hi) ranges of the chunks of ``trials`` trials: the fewest
     contiguous ranges of near-equal size, larger ones first, that hold at
-    most max(_CHUNK_TRIALS, ceil(_MIN_CHUNK_STATES / n_units)) trials each
-    (as ``np.array_split`` cuts them); none for no trial. They depend on
-    the trial count and the network size alone, never on the workers."""
-    chunks = -(-trials // max(_CHUNK_TRIALS, -(-_MIN_CHUNK_STATES // n_units)))
+    most max(cap, _min_chunk(n_units)) trials each (as ``np.array_split``
+    cuts them), and at least two once there are more than
+    ``_min_chunk(n_units)`` trials; none for no trial. ``bptt_gradients``
+    caps them at _CHUNK_TRIALS trials, ``evaluate`` at _EVAL_TRIALS. They
+    depend on the trial count, the network size and the cap alone, never
+    on the workers."""
+    least = _min_chunk(n_units)
+    chunks = -(-trials // max(cap, least))
+    if trials > least:
+        chunks = max(chunks, 2)
     if not chunks:
         return []
     size, larger = divmod(trials, chunks)
@@ -260,11 +284,11 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     (``_bptt_chunk``).
 
     When BLAS leaves a core idle (``_CHUNK_WORKERS`` >= 2), the batch is
-    cut into ``evaluate``'s chunks (``_chunk_bounds``), which run this
-    sweep on the workers of ``_run_chunks``, worker k in its own
-    consecutive part of the history and ring buffers and in its own
-    gradient scratch. The step matrices are built once per
-    call, on the calling thread. Every chunk scales by the whole batch's
+    cut into chunks of at most ``_min_chunk(n)`` trials (``_chunk_bounds``),
+    which run this sweep on the workers of ``_run_chunks``, worker k in its
+    own consecutive part of the history and ring buffers and in its own
+    gradient scratch. The step matrices are built once per call, on the
+    calling thread. Every chunk scales by the whole batch's
     size, and the gradients and the squared-error sums are added up in
     chunk order. So the result depends on the batch, the network size and
     whether BLAS leaves a core idle, never on the number of cores or on
@@ -310,7 +334,8 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
 
     # the trials before a worker's first chunk take the workspace before its part
     results = _run_chunks(
-        run, _chunk_bounds(batch, n) if _CHUNK_WORKERS > 1 else [(0, batch)],
+        run, (_chunk_bounds(batch, n, _CHUNK_TRIALS) if _CHUNK_WORKERS > 1
+              else [(0, batch)]),
         lambda k, lo, hi: (work[0][lo * rows * width:],
                            work[1][lo * ring_rows * (n_out + n):],
                            work[2][k * group_size:]))
@@ -452,10 +477,13 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
           epoch_hook=None):
     """Mini-batch training loop; returns (trained params, TrainReport).
 
-    A trailing ``eval_fraction`` of the samples is held out of training and
-    used for the report's final metrics. Update k of the run uses the
-    learning rate ``train_cfg.learning_rate_at(k, total_updates)``. Every
-    epoch is shuffled by a stream derived from (seed, epoch).
+    A trailing ``eval_fraction`` of the samples, rounded to whole trials
+    and at most all but one, is held out of training and used for the
+    report's final metrics. When that rounds to no trial, the final
+    metrics score the training set, and the report's ``held_out`` is 0.
+    Update k of the run uses the learning rate
+    ``train_cfg.learning_rate_at(k, total_updates)``. Every epoch is
+    shuffled by a stream derived from (seed, epoch).
 
     Every batch's gradients come from one set of ``bptt_workspace``
     buffers, sized for the largest batch and freed before the held-out
@@ -515,7 +543,8 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     else:
         eval_set = dataset
     report = TrainReport(loss_per_epoch=losses, wall_time=wall,
-                         final_eval=evaluate(params, model_cfg, eval_set))
+                         final_eval=evaluate(params, model_cfg, eval_set),
+                         held_out=n_eval)
     return params, report
 
 
@@ -528,7 +557,9 @@ def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
     window also covers a trailing pulse whose delayed target flip lands
     beyond the horizon.
     """
-    mask = np.all((y == 1.0) | (y == -1.0), axis=2)
+    committed = y == 1.0
+    committed |= y == -1.0
+    mask = committed.all(axis=2)
     span = config.pulse_width + config.delay_steps + pad + 1
     for i, trial_events in enumerate(events):
         for onset, _, _ in trial_events:
@@ -546,23 +577,28 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     target on all channels; it is NaN when no step is a clean hold. Both
     are NaN for a dataset of no trials.
 
-    The forward pass runs one chunk of trials (``_chunk_bounds``) at a
-    time, in blocks of ``_BLOCK_STEPS`` steps through a
-    [_BLOCK_STEPS + 2, n_out + n + n_in + 1, chunk] buffer of
-    [features, trials] slabs, as ``batch_forward``'s: ``_recurrence``
-    starts each block from the state in row 0, and the block's last state
-    goes there for the next one (``_forward_chunk``). Only the chunk's
-    readouts are kept, so memory does not grow with the number of trials or
-    of steps. The readout of a block's last state is taken from the next
-    block's first step GEMM, as ``batch_forward`` takes it. So a chunk's
-    readouts equal those of ``batch_forward`` over that chunk bit for bit.
+    The trials are cut into chunks of at most _EVAL_TRIALS trials
+    (``_chunk_bounds``), two at least once there are more than
+    ``_min_chunk`` of them, so that two workers share a held-out set of
+    100 trials at 128 units. Each chunk runs forward in blocks of k steps
+    through a [k + 2, n_out + n + n_in + 1, chunk] buffer of
+    [features, trials] slabs, as ``batch_forward``'s (``_forward_chunk``),
+    with k = min(t_steps, _BLOCK_STEPS,
+    (_BLOCK_STEPS + 2) * _min_chunk(n) // largest chunk - 2), 1 at least:
+    6 steps for 250 trials at 128 units. So a block buffer never holds more
+    values than one of _BLOCK_STEPS + 2 rows over ``_min_chunk(n)`` trials,
+    and memory does not grow with the number of trials or of steps. Each block is scored as
+    it comes out, and no readout is kept beyond its block. The readout of a
+    block's last state is taken from the next block's first step GEMM, as
+    ``batch_forward`` takes it. So a chunk's readouts equal those of
+    ``batch_forward`` over that chunk bit for bit.
 
     The chunks run on the workers of ``_run_chunks``, each worker through
-    one block buffer and one readout array, and each chunk is scored on its
-    worker, with no float temporaries: the squared errors overwrite the
-    readouts once the sign test has read them. The chunk sums are added up
-    in chunk order. A chunk's bounds and GEMMs do not depend on the worker
-    count, so neither do the metrics.
+    one block buffer, and each chunk is scored on its worker, with no float
+    temporaries: the squared errors overwrite the readouts in the buffer
+    once the sign test has read them. The block sums are added up in step
+    order and the chunk sums in chunk order. A chunk's bounds, blocks and
+    GEMMs do not depend on the worker count, so neither do the metrics.
     """
     if isinstance(data, Trial):
         x, y, events = data.inputs[None], data.targets[None], [data.events]
@@ -576,24 +612,24 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     x = _forward_input(params, model_cfg, x)
 
     trials, t_steps, _ = x.shape
-    n_out = model_cfg.n_out
-    width = n_out + model_cfg.n_units + model_cfg.n_in + 1
+    n = model_cfg.n_units
+    width = model_cfg.n_out + n + model_cfg.n_in + 1
     w = _step_matrix(params)
+    bounds = _chunk_bounds(trials, n, _EVAL_TRIALS)
+    largest = bounds[0][1] if bounds else 1   # the first chunk, (0, largest)
+    # 1 step for trials of no steps, which run no block
+    block = max(1, min(t_steps, _BLOCK_STEPS,
+                       (_BLOCK_STEPS + 2) * _min_chunk(n) // largest - 2))
 
-    def run(lo, hi, flat, readouts):
-        z, ys = readouts[:hi - lo], y[lo:hi]
-        _forward_chunk(w, model_cfg, x[lo:hi],
-                       _buffer((_BLOCK_STEPS + 2, width, hi - lo), flat), z)
+    def run(lo, hi, flat):
+        ys = y[lo:hi]
         valid = _clean_hold_mask(events[lo:hi], ys, cfg, transition_pad)
-        # sign(z) == ys wherever ys is +-1, as on every clean hold
-        ok = np.where(ys > 0, z > 0, z < 0).all(axis=2) & valid
-        np.subtract(z, ys, out=z)
-        np.square(z, out=z)
-        return float(np.sum(z)), int(ok.sum()), int(valid.sum())
+        squared, matched = _forward_chunk(w, model_cfg, x[lo:hi], ys, valid,
+                                          _buffer((block + 2, width, hi - lo), flat))
+        return squared, matched, int(valid.sum())
 
-    results = _run_chunks(run, _chunk_bounds(trials, model_cfg.n_units),
-                          lambda k, lo, hi: (np.empty((_BLOCK_STEPS + 2) * (hi - lo) * width),
-                                             np.empty((hi - lo, t_steps, n_out))))
+    results = _run_chunks(run, bounds,
+                          lambda k, lo, hi: (np.empty((block + 2) * width * (hi - lo)),))
     squared, matched, considered = 0.0, 0, 0
     for s, m, c in results:   # in chunk order
         squared, matched, considered = squared + s, matched + m, considered + c
@@ -603,22 +639,38 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
 
 
 def _forward_chunk(w: np.ndarray, config: ModelConfig, x: np.ndarray,
-                   u: np.ndarray, z: np.ndarray) -> None:
-    """``evaluate``'s forward pass over the [trials, t_steps, n_in] inputs
-    ``x`` of one chunk, from the zero state, in blocks of ``_BLOCK_STEPS``
-    steps through the [_BLOCK_STEPS + 2, ..., trials] buffer ``u`` of
-    [features, trials] slabs, with the step matrix ``w``; writes the
-    readouts into [trials, t_steps, n_out] ``z``."""
+                   y: np.ndarray, valid: np.ndarray, u: np.ndarray) -> tuple:
+    """``evaluate``'s forward pass and scoring of one chunk: the
+    [trials, t_steps, n_in] inputs ``x``, from the zero state, against the
+    [trials, t_steps, n_out] targets ``y``, with the [trials, t_steps]
+    clean-hold mask ``valid``. Runs in blocks of k steps through the
+    [k + 2, ..., trials] buffer ``u`` of [features, trials] slabs, with the
+    step matrix ``w``. Block [t, t + k) scores the readouts of steps
+    t - 1 .. t + k - 2 in rows 1 .. k, the one of step t - 1 from the
+    block's first step GEMM, and the last block also that of its last step
+    in row k + 1. Returns (the sum of the squared errors, the count of
+    clean-hold steps whose signs match on every channel)."""
     t_steps = x.shape[1]
     n, n_out = config.n_units, config.n_out
+    block = u.shape[0] - 2
+    y_rows, valid_rows = y.transpose(1, 2, 0), valid.T
+    squared, matched = 0.0, 0
     u[0, n_out:n_out + n] = 0.0
-    for t in range(0, t_steps, _BLOCK_STEPS):
-        k = min(_BLOCK_STEPS, t_steps - t)
+    for t in range(0, t_steps, block):
+        k = min(block, t_steps - t)
         _recurrence(w, config, x[:, t:t + k], u)
-        if t:   # the previous block's last readout, from the step GEMM
-            z[:, t - 1] = u[1, :n_out].T
-        z[:, t:t + k] = u[2:k + 2, :n_out].transpose(2, 0, 1)
+        # row r holds the readout of step t + r - 2; h_0's in row 1 has no target
+        first, last = (1 if t else 2), (k + 2 if t + k == t_steps else k + 1)
+        z, ys = u[first:last, :n_out], y_rows[t + first - 2:t + last - 2]
+        # sign(z) == ys wherever ys is +-1, as on every clean hold
+        ok = np.where(ys > 0, z > 0, z < 0).all(axis=1)
+        ok &= valid_rows[t + first - 2:t + last - 2]
+        matched += int(np.count_nonzero(ok))
+        np.subtract(z, ys, out=z)
+        np.square(z, out=z)
+        squared += float(np.sum(z))
         u[0, n_out:n_out + n] = u[k, n_out:n_out + n]
+    return squared, matched
 
 
 @dataclass

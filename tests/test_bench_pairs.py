@@ -1,10 +1,12 @@
 """tools/bench_pairs.py pairs only checkouts that hold the same benchmark,
-and records the machine it ran on."""
+and records the machine it ran on and the code each side ran."""
 
 import importlib.util
 import json
 import os
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -215,3 +217,40 @@ def test_unresolved_when_the_spread_is_wider_than_the_bound(better, parent, chan
         {"parent": runs_of("m", parent), "change": runs_of("m", change)},
         [metric])["m"]
     assert summary["unresolved"] is unresolved
+
+
+def commit_all(root):
+    """Make ``root`` a git checkout with everything in it committed; returns
+    the commit."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), "-c", "user.name=bench",
+                               "-c", "user.email=bench@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "bench")
+    return git("rev-parse", "HEAD").strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_out_names_each_sides_commit(tmp_path):
+    # two git checkouts, the change with an edit under src/ not committed,
+    # and a directory that is no checkout's top
+    run = ("import json\n"
+           "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    parent = make_root(tmp_path / "a", run=run)
+    change = make_root(tmp_path / "b", run=run)
+    for root in (parent, change):
+        (root / "src").mkdir()
+        (root / "src" / "program.py").write_text("version = 1\n")
+    commits = commit_all(parent), commit_all(change)
+    (change / "src" / "program.py").write_text("version = 2\n")
+    (parent / "notes.txt").write_text("outside src/\n")
+    assert bench_pairs.main(pair_args(parent, change, tmp_path)) == 0
+    entry = json.loads((tmp_path / "o.json").read_text())["workloads"]["train-128"]
+    assert entry["checkouts"] == {
+        "parent": {"commit": commits[0], "src_clean": True},
+        "change": {"commit": commits[1], "src_clean": False}}
+    assert bench_pairs.checkout_state(parent / "src") is None
+    plain = make_root(tmp_path / "c", run=run)
+    assert bench_pairs.checkout_state(plain) is None

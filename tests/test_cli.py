@@ -206,6 +206,28 @@ class TestTrain:
         assert manifest["diverged_at_epoch"] == 0
         assert np.isfinite(params.w_rec).all()
 
+    @pytest.mark.parametrize("samples, fraction, held_out, label", [
+        (8, "0.05", 0, "training-set"),    # 0.4 trials round to none
+        (24, "0", 0, "training-set"),
+        (24, "0.05", 1, "held-out"),
+        (24, "0.5", 12, "held-out"),
+    ])
+    def test_report_names_the_trials_it_scored(self, tmp_path, capsys, samples,
+                                               fraction, held_out, label):
+        # with no trial held out, the final metrics score the training set
+        # and say so, on the console and in the manifest
+        data_dir = tmp_path / "data"
+        assert run_cli("gen", "--samples", samples, "--out", data_dir) == 0
+        out = tmp_path / "ckpt"
+        capsys.readouterr()
+        assert run_cli("train", "--data", data_dir, "--units", 8, "--epochs", 1,
+                       "--eval-fraction", fraction, "--out", out) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(f"{label} mse "), last
+        final = load_checkpoint(out)[2]["final_eval"]
+        assert sorted(final) == ["held_out_trials", "mse", "state_accuracy"]
+        assert final["held_out_trials"] == held_out
+
     def test_train_then_eval_pipeline(self, tmp_path, small_data):
         out = tmp_path / "ckpt_t"
         code = run_cli("train", "--data", small_data, "--units", 12,
@@ -660,7 +682,7 @@ class TestEval:
         assert json.loads(out.read_text())["state_accuracy"] == 1.0
 
     def test_sharded_eval_writes_the_same_bytes(self, tmp_path):
-        # at one BLAS thread per call, as the benchmark runs: four 50-trial
+        # at one BLAS thread per call, as the benchmark runs: two 100-trial
         # chunks of a 128-unit network, run by one worker and by two at once
         data_dir = tmp_path / "data"
         save_dataset(generate_dataset(TaskConfig(t_steps=60, seed=11), 200), data_dir)
@@ -669,7 +691,7 @@ class TestEval:
         code = ("import sys\n"
                 "from ffrnn import cli, training\n"
                 "training._CHUNK_WORKERS = int(sys.argv[1])\n"
-                "print(len(training._chunk_bounds(200, 128)))\n"
+                "print(len(training._chunk_bounds(200, 128, training._EVAL_TRIALS)))\n"
                 "sys.exit(cli.main(sys.argv[2:]))\n")
         env = {**with_src_on_path(), "OMP_NUM_THREADS": "1",
                "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -681,7 +703,7 @@ class TestEval:
                  str(tmp_path / "ckpt"), "--data", str(data_dir), "--out", str(out)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[0] == "4"
+            assert proc.stdout.splitlines()[0] == "2"
             written.append(out.read_bytes())
         assert written[0] == written[1]
 

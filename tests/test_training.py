@@ -27,6 +27,7 @@ from ffrnn.training import (
     TrainConfig,
     _BLOCK_STEPS,
     _CHUNK_TRIALS,
+    _EVAL_TRIALS,
     _clean_hold_mask,
     adam_update,
     bptt_gradients,
@@ -343,6 +344,7 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
     monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
     monkeypatch.setattr(training, "_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(training, "_EVAL_TRIALS", 8)
 
 
 def run_python(code, **env):
@@ -425,13 +427,14 @@ class TestShardedBptt:
     ])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_chunk_bounds(self, monkeypatch, trials, n, sizes, workers):
-        # contiguous, near-equal and larger first, of at most 64 trials or
-        # 4096 state entries per step, whichever is more trials, whatever
-        # the worker count
+        # bptt's cuts: contiguous, near-equal and larger first, of at most
+        # 64 trials or 4096 state entries per step, whichever is more
+        # trials, whatever the worker count
         monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
         assert (training._CHUNK_TRIALS, training._MIN_CHUNK_STATES) == (64, 4096)
         edges = np.cumsum([0] + sizes).tolist()
-        assert training._chunk_bounds(trials, n) == list(zip(edges, edges[1:]))
+        assert (training._chunk_bounds(trials, n, training._CHUNK_TRIALS)
+                == list(zip(edges, edges[1:])))
 
     def test_more_blas_threads_than_cores_is_one_worker(self):
         # usable cores // threads per call is 0 here, and 0 workers would
@@ -453,7 +456,7 @@ class TestShardedBptt:
 
         monkeypatch.setattr(training, "_bptt_chunk", chunk)
         params, cfg, x, y = random_problem(128, 1000, 3)
-        assert len(training._chunk_bounds(1000, 128)) == 16
+        assert len(training._chunk_bounds(1000, 128, _CHUNK_TRIALS)) == 16
         bptt_gradients(params, cfg, x, y)
         assert sizes == [1000]
 
@@ -491,7 +494,8 @@ class TestShardedBptt:
     @pytest.mark.parametrize("use_bias", [True, False])
     def test_matches_oracle(self, small_chunks, batch, dt, use_bias):
         params, cfg, x, y = random_problem(5, batch, _BLOCK_STEPS + 5, dt, use_bias)
-        assert len(training._chunk_bounds(batch, cfg.n_units)) >= 9
+        bounds = training._chunk_bounds(batch, cfg.n_units, training._CHUNK_TRIALS)
+        assert len(bounds) >= 9
         assert_matches_oracle(params, cfg, x, y)
 
     def test_concurrent_equals_serial(self, monkeypatch):
@@ -571,7 +575,7 @@ class TestShardedBptt:
         params, cfg, x, y = random_problem(4, 192, 2 * _BLOCK_STEPS + 3)
         monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
         monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
-        assert len(training._chunk_bounds(192, cfg.n_units)) == 3
+        assert len(training._chunk_bounds(192, cfg.n_units, _CHUNK_TRIALS)) == 3
         for trial, t in bad_steps:
             x[trial, t, 1] = np.nan
         assert divergence_message(params, cfg, x, y) == message
@@ -580,7 +584,7 @@ class TestShardedBptt:
         # four 64-trial chunks at the default chunk rule, run by 2, 3 or 4
         # workers: the chunks and their sums are the same every time
         params, cfg, x, y = random_problem(64, 256, _BLOCK_STEPS + 8, dt=0.5)
-        assert len(training._chunk_bounds(256, cfg.n_units)) == 4
+        assert len(training._chunk_bounds(256, cfg.n_units, _CHUNK_TRIALS)) == 4
         results = []
         for workers in (2, 3, 4):
             monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
@@ -876,10 +880,11 @@ class TestEvaluate:
         assert mask.mean() > 0.05
 
     def test_peak_memory_one_chunk(self):
-        # each worker runs its chunks through one [_BLOCK_STEPS + 2, chunk,
-        # ...] buffer and keeps only one chunk's readouts, so the peak is a
+        # each worker runs its chunks through one [k + 2, ..., chunk] block
+        # buffer, no larger than one of _BLOCK_STEPS + 2 rows over 64
+        # trials, and keeps no readout beyond its block, so the peak is a
         # small part of one 128-trial full-history buffer, a bound that does
-        # not move with _CHUNK_TRIALS
+        # not move with the chunk size
         task = TaskConfig(t_steps=300)
         mcfg = ModelConfig(n_units=64)
         params = init_params(mcfg, SeededRng(37))
@@ -930,8 +935,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
     def test_chunked_matches_whole_dataset(self, monkeypatch, task, model,
                                            trials, pad):
-        # within a tolerance, not bitwise: evaluate's GEMMs run over chunks
-        # of _CHUNK_TRIALS trials, batch_forward's here over all of them
+        # within a tolerance, not bitwise: evaluate's GEMMs run over its
+        # chunks, batch_forward's here over all of the trials
         monkeypatch.setattr(training, "_MIN_CHUNK_STATES", 1)
         cfg, ds, mcfg, params = self.chunk_case(task, model, trials)
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
@@ -955,26 +960,94 @@ class TestEvaluate:
         monkeypatch.setattr(training, "_CHUNK_WORKERS", 1)
         serial = evaluate(params, mcfg, ds, transition_pad=pad)
         monkeypatch.setattr(training, "_CHUNK_WORKERS", workers)
-        assert len(training._chunk_bounds(trials, mcfg.n_units)) >= workers
+        bounds = training._chunk_bounds(trials, mcfg.n_units, training._EVAL_TRIALS)
+        assert len(bounds) >= workers
         assert evaluate(params, mcfg, ds, transition_pad=pad) == serial
 
     def test_sharded_peak_memory_one_chunk(self, monkeypatch):
-        # two workers, each with the buffers of one 64-trial chunk
+        # two workers, each with the block buffer of one 192-trial chunk
         monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
-        assert training._chunk_bounds(384, 64) == [(k, k + 64) for k in range(0, 384, 64)]
+        assert training._chunk_bounds(384, 64, _EVAL_TRIALS) == [(0, 192), (192, 384)]
         self.test_peak_memory_one_chunk()
+
+    def test_peak_memory_at_500_trials(self, monkeypatch):
+        # two workers at 128 units, each with one 250-trial chunk. The bound
+        # is the peak of the same call in the code before evaluate's chunks
+        # grew from 64 trials to 256 (eight chunks of 62-63 trials, 32-step
+        # blocks and whole-chunk readouts), the lowest of five measured
+        monkeypatch.setattr(training, "_CHUNK_WORKERS", 2)
+        ds = generate_dataset(TaskConfig(seed=7000), 500)
+        mcfg = ModelConfig(n_units=128)
+        params = init_params(mcfg, SeededRng(1))
+        assert training._chunk_bounds(500, 128, _EVAL_TRIALS) == [(0, 250), (250, 500)]
+        evaluate(params, mcfg, ds)
+        tracemalloc.start()
+        try:
+            evaluate(params, mcfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_926_692, f"peak {peak} B"
+
+    @settings(max_examples=40, deadline=None)
+    @given(trials=st.one_of(st.sampled_from([64, 65, 256, 257, 512, 513]),
+                            st.integers(1, 600)),
+           t_steps=st.integers(1, 3 * _BLOCK_STEPS + 5),
+           n=st.sampled_from([8, 64, 128]), dt=st.sampled_from([1.0, 0.5]),
+           use_bias=st.booleans(), workers=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_fuzz_chunk_and_block_edges(self, trials, t_steps, n, dt, use_bias,
+                                        workers, seed):
+        # evaluate against batch_forward over each of its chunks and the
+        # step-by-step mask: the mse within rounding, the accuracy exactly,
+        # the readouts bit for bit, and the metrics whatever the workers
+        params, mcfg, x, _ = random_problem(n, trials, t_steps, dt, use_bias, seed)
+        z = np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1] for lo, hi
+                            in training._chunk_bounds(trials, n, _EVAL_TRIALS)])
+        # targets: the readouts' signs, a fifth flipped and a tenth uncommitted
+        rng = SeededRng(seed + 1).gen
+        y = np.sign(z) * np.where(rng.random(z.shape) < 0.2, -1.0, 1.0)
+        y[rng.random(z.shape) < 0.1] = 0.0
+        events = [[(int(onset), 0, 1.0) for onset in
+                   rng.integers(0, t_steps, rng.integers(0, 3))] for _ in range(trials)]
+        task = TaskConfig(pulse_width=2, delay_steps=1)   # the mask reads these two
+        ds = Dataset(x, y, task, events)
+        workers_before = training._CHUNK_WORKERS
+        try:
+            training._CHUNK_WORKERS = 1
+            serial = evaluate(params, mcfg, ds, transition_pad=1)
+            training._CHUNK_WORKERS = workers
+            metrics = evaluate(params, mcfg, ds, transition_pad=1)
+            readouts = evaluate(params, mcfg, Dataset(x, z, task, events))
+        finally:
+            training._CHUNK_WORKERS = workers_before
+        npt.assert_equal(dataclasses.astuple(metrics), dataclasses.astuple(serial))
+        assert readouts.mse == 0.0
+        npt.assert_allclose(metrics.mse, np.mean((z - y) ** 2), rtol=1e-12, atol=0)
+        mask = np.stack([clean_hold_oracle(events[i], y[i], 2, 1, 1)
+                         for i in range(trials)])
+        ok = np.all(np.sign(z) == y, axis=2) & mask
+        if mask.any():
+            assert metrics.state_accuracy == ok.sum() / mask.sum()
+        else:
+            assert math.isnan(metrics.state_accuracy)
 
     @pytest.mark.parametrize("n, chunk", [(1, 4096), (8, 512), (32, 128),
                                           (64, 64), (128, 64), (256, 64)])
     def test_chunk_size(self, n, chunk):
-        # _CHUNK_TRIALS trials, or enough for _MIN_CHUNK_STATES state entries
+        # _CHUNK_TRIALS trials, or enough for _MIN_CHUNK_STATES state
+        # entries: bptt's largest chunk, and the most trials that evaluate
+        # runs as one chunk
         assert (_CHUNK_TRIALS, training._MIN_CHUNK_STATES) == (64, 4096)
-        assert training._chunk_bounds(3 * chunk, n) == [
+        assert training._min_chunk(n) == chunk
+        assert training._chunk_bounds(3 * chunk, n, _CHUNK_TRIALS) == [
             (0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk)]
-        assert len(training._chunk_bounds(3 * chunk + 1, n)) == 4
+        assert len(training._chunk_bounds(3 * chunk + 1, n, _CHUNK_TRIALS)) == 4
+        assert training._chunk_bounds(chunk, n, _EVAL_TRIALS) == [(0, chunk)]
+        assert len(training._chunk_bounds(chunk + 1, n, _EVAL_TRIALS)) == 2
 
     @pytest.mark.parametrize("n, trials, chunks", [
-        (128, 150, [50, 50, 50]), (128, 64, [64]), (32, 300, [100, 100, 100]),
+        (128, 150, [75, 75]), (128, 64, [64]), (32, 300, [150, 150]),
         (8, 3, [3]), (256, 1, [1])])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunks_run(self, monkeypatch, n, trials, chunks, workers):
@@ -986,10 +1059,10 @@ class TestEvaluate:
         x = SeededRng(49).gen.normal(size=(trials, 40, 3))
         starts, run_chunk = [], training._forward_chunk
 
-        def chunk(w, config, xs, u, z):
+        def chunk(w, config, xs, *args):
             starts.append((int(np.flatnonzero((x == xs[0]).all(axis=(1, 2)))[0]),
                            len(xs)))
-            run_chunk(w, config, xs, u, z)
+            return run_chunk(w, config, xs, *args)
 
         monkeypatch.setattr(training, "_forward_chunk", chunk)
         evaluate(params, mcfg, Dataset(x, np.zeros_like(x), TaskConfig(t_steps=40),
@@ -1006,12 +1079,20 @@ class TestEvaluate:
                            Dataset(x, x.copy(), cfg, []))
         assert math.isnan(metrics.mse) and math.isnan(metrics.state_accuracy)
 
+    def test_no_steps_is_nan(self):
+        # trials of no steps run no block: no number for either metric
+        x = np.zeros((70, 0, 3))
+        metrics = evaluate(latch_params(), ModelConfig(n_units=3),
+                           Dataset(x, x.copy(), TaskConfig(), [[] for _ in range(70)]))
+        assert math.isnan(metrics.mse) and math.isnan(metrics.state_accuracy)
+
     @staticmethod
     def chunk_readouts(params, mcfg, x):
         """batch_forward's readouts, run over one chunk of evaluate at a
         time."""
         return np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1] for lo, hi
-                               in training._chunk_bounds(len(x), mcfg.n_units)])
+                               in training._chunk_bounds(len(x), mcfg.n_units,
+                                                         training._EVAL_TRIALS)])
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_one_chunk_matches_batch_forward_bitwise(self, dt):
@@ -1029,7 +1110,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_sharded_chunk_matches_batch_forward_bitwise(self, small_chunks, dt):
         # seven chunks of 7 or 8 trials, on two workers
-        assert len(training._chunk_bounds(50, 16)) == 7
+        assert len(training._chunk_bounds(50, 16, training._EVAL_TRIALS)) == 7
         self.test_one_chunk_matches_batch_forward_bitwise(dt)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1050,13 +1131,14 @@ cfg = TaskConfig(t_steps=training._BLOCK_STEPS + 8)
 for n in (8, 16, 64, 128, 200, 256):
     mcfg = ModelConfig(n_units=n)
     params = init_params(mcfg, SeededRng(46))
-    for trials in (1, 63, 65, 130, 300):
+    for trials in (1, 63, 65, 130, 300, 513):
         rng = SeededRng(47 + trials)
         x = rng.gen.normal(size=(trials, cfg.t_steps, 3))
         signs = Dataset(x, np.sign(rng.gen.normal(size=x.shape)), cfg,
                         [[] for _ in range(trials)])
         z = np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1]
-                            for lo, hi in training._chunk_bounds(trials, n)])
+                            for lo, hi in training._chunk_bounds(
+                                trials, n, training._EVAL_TRIALS)])
         readouts = Dataset(x, z, cfg, signs.events)
         for workers in (1, 4, 3, 2):   # the pool is made for 4
             training._CHUNK_WORKERS = workers
@@ -1069,7 +1151,7 @@ for n in (8, 16, 64, 128, 200, 256):
         lines = [line.split() for line in
                  run_python(code, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                             MKL_NUM_THREADS=threads).splitlines()]
-        assert len(lines) == 6 * 5 * 4
+        assert len(lines) == 6 * 6 * 4
         assert {equal for *_, equal, _ in lines} == {"True"}
         assert {float(mse) for *_, mse in lines} == {0.0}
 
@@ -1084,7 +1166,8 @@ for n in (8, 16, 64, 128, 200, 256):
         expected = evaluate(params, mcfg, ds, transition_pad=2)
         assert not math.isnan(expected.state_accuracy)
         monkeypatch.setattr(training, "_CHUNK_WORKERS", 4)
-        assert len(training._chunk_bounds(len(ds.x), mcfg.n_units)) == 13
+        bounds = training._chunk_bounds(len(ds.x), mcfg.n_units, training._EVAL_TRIALS)
+        assert len(bounds) == 13
         pool = ThreadPoolExecutor(max_workers=3)
         monkeypatch.setattr(training, "_POOL", pool)
         results = []
@@ -1115,19 +1198,20 @@ for n in (8, 16, 64, 128, 200, 256):
         mcfg = ModelConfig(n_units=8)
         params = init_params(mcfg, SeededRng(44))
         monkeypatch.setattr(training, "_CHUNK_WORKERS", 3)
-        monkeypatch.setattr(training, "_CHUNK_TRIALS", 10)
+        monkeypatch.setattr(training, "_EVAL_TRIALS", 10)
         starts = [0, 10, 20]
         finished = []
         run_chunk = training._forward_chunk
 
-        def chunk(w, config, x, u, z):
+        def chunk(w, config, x, *args):
             index = next(i for i, lo in enumerate(starts)
                          if np.array_equal(x[0], ds.x[lo]))
             if index == failing:
                 raise RuntimeError(f"chunk {index} failed")
             time.sleep(0.2)
-            run_chunk(w, config, x, u, z)
+            result = run_chunk(w, config, x, *args)
             finished.append(index)
+            return result
 
         monkeypatch.setattr(training, "_forward_chunk", chunk)
         pool = ThreadPoolExecutor(max_workers=2)

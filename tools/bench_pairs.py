@@ -38,7 +38,10 @@ every run summarised in ``--out`` was correct.
 
 A gain from running work on more cores than one needs those cores free, so
 the output also records the cores this process may run on and the 1-, 5-
-and 15-minute load averages just before and just after each run. ``--out``
+and 15-minute load averages just before and just after each run. It names
+the code each side ran, too: the commit its root has checked out and
+whether ``src/`` holds uncommitted changes, or null for a root that is not
+the top of a git checkout. ``--out``
 is replaced whole, through a temporary file beside it, so an interrupted
 write never leaves it half written.
 """
@@ -73,6 +76,26 @@ def benchmark_difference(parent: Path, change: Path) -> str | None:
 def path_lengths(parent: Path, change: Path) -> tuple:
     """The lengths of the two roots' absolute paths, symbolic links resolved."""
     return len(str(parent.resolve())), len(str(change.resolve()))
+
+
+def checkout_state(root: Path) -> dict | None:
+    """``{"commit": HEAD, "src_clean": whether git status --porcelain -- src
+    is empty}`` of the git checkout whose top is ``root``; None when
+    ``root`` is not the top of one, or git cannot tell."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args],
+                              capture_output=True, text=True)
+
+    try:
+        top, head, status = (git("rev-parse", "--show-toplevel"),
+                             git("rev-parse", "HEAD"),
+                             git("status", "--porcelain", "--", "src"))
+    except OSError:   # no git
+        return None
+    if (any(p.returncode for p in (top, head, status))
+            or Path(top.stdout.strip()).resolve() != root.resolve()):
+        return None
+    return {"commit": head.stdout.strip(), "src_clean": not status.stdout.strip()}
 
 
 # lines of a failed run's stderr that the script prints
@@ -192,6 +215,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "first_in_pair": "parent on even pairs, change on odd pairs",
         "usable_cores": len(os.sched_getaffinity(0)),
+        "checkouts": {side: checkout_state(root) for side, root in sides.items()},
         "load_average": load,
         "metrics": summarise(runs, bench["end_to_end"]),
         "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
