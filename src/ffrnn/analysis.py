@@ -49,8 +49,8 @@ class CubeReport:
     edge_group: tuple | None = None        # (count, mean length)
     face_group: tuple | None = None
     body_group: tuple | None = None
-    within_state_spread: float = 0.0
-    separation_ratio: float = 0.0
+    within_state_spread: float = float("nan")
+    separation_ratio: float = float("nan")
     missing_states: list = field(default_factory=list)
 
     @property
@@ -99,9 +99,8 @@ def committed_mask(targets: np.ndarray) -> np.ndarray:
 
 
 def settle_step(targets: np.ndarray) -> int:
-    """First step at which every channel holds a committed +-1 value."""
-    mask = committed_mask(targets)
-    return int(np.argmax(mask)) if mask.any() else 0
+    """First step at which every channel holds a committed +-1 value; 0 if none."""
+    return int(np.argmax(committed_mask(targets)))
 
 
 def collect_and_project(params: RnnParams, model_cfg: ModelConfig,
@@ -118,12 +117,11 @@ def collect_and_project(params: RnnParams, model_cfg: ModelConfig,
 def _hold_mask(targets: np.ndarray, start_step: int, hold_margin: int) -> np.ndarray:
     """Steps in a settled hold: committed on all channels, at least
     hold_margin steps past the most recent target change, at/after start."""
-    t_steps = targets.shape[0]
     mask = committed_mask(targets)
     mask[:start_step] = False
     changed = np.nonzero(np.any(targets[1:] != targets[:-1], axis=1))[0] + 1
-    for t_c in changed:
-        mask[t_c:min(t_steps, t_c + hold_margin)] = False
+    for t_c in changed:   # the int64 t_c plus a huge margin would overflow
+        mask[t_c:t_c + min(hold_margin, len(mask))] = False
     return mask
 
 
@@ -135,7 +133,7 @@ def memory_states(projection: ProjectionResult, probe: Trial,
     settled hold windows. The 28 pairwise centroid distances are sorted and
     split by ideal-cube multiplicity into 12 edges, 12 face diagonals and 4
     body diagonals. When fewer than 8 states appear the report only carries
-    the missing-state list.
+    the missing-state list: no groups, and NaN spread and separation ratio.
     """
     if hold_margin < 0:
         raise ValueError(f"hold_margin must be >= 0, got {hold_margin}")

@@ -88,12 +88,12 @@ class Trial:
 @dataclass
 class Dataset:
     """x, y tensors of shape [samples, t_steps, n_bits], the generator config,
-    and per sample the (onset_step, channel, sign) pulse events."""
+    and the [4, E] int64 events, a (trial, onset, channel, sign) column each."""
 
     x: np.ndarray
     y: np.ndarray
     config: TaskConfig
-    events: list
+    events: np.ndarray
 
     @property
     def samples(self) -> int:
@@ -168,8 +168,8 @@ def _first_read(config: TaskConfig) -> int:
 def _draw_events(config: TaskConfig, halves: _Halves):
     """Per channel, gap ~ U[min_gap, max_gap] then a pulse of equiprobable
     sign, repeated while it fits; drawn in lockstep over the streams still
-    drawing, channel by channel. Returns the (trial, onset, channel, sign)
-    arrays ordered by trial, onset and channel."""
+    drawing, channel by channel. Returns the [4, E] array of (trial, onset,
+    channel, sign) columns ordered by trial, onset and channel."""
     room = config.t_steps - config.pulse_width   # the latest onset that fits
     span = config.max_gap - config.min_gap + 1
     low = min(config.min_gap, room + 1)   # a longer gap fits no better
@@ -187,14 +187,14 @@ def _draw_events(config: TaskConfig, halves: _Halves):
                 drawn.append(np.stack([rows, onset, np.full_like(rows, channel), sign]))
                 free[rows] = onset + config.pulse_width
     trial, onset, channel, sign = events = np.concatenate(drawn, axis=1)
-    return tuple(events[:, np.lexsort((channel, onset, trial))])
+    return events[:, np.lexsort((channel, onset, trial))]
 
 
-def _event_tuples(trials: int, trial, onset, channel, sign) -> list:
-    """Per trial, the tuple of its plain-int (onset, channel, sign) events."""
-    rows = list(zip(onset.tolist(), channel.tolist(), sign.tolist()))
-    ends = np.cumsum(np.bincount(trial, minlength=trials)).tolist()
-    return [tuple(rows[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+def _events_of(events: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The columns of trials lo <= trial < hi, renumbered from trial 0."""
+    picked = events[:, (events[0] >= lo) & (events[0] < hi)]
+    picked[0] -= lo
+    return picked
 
 
 def _add_pulses(x, trial, onset, channel, sign, pulse_width: int, pulse_amp: float):
@@ -223,6 +223,25 @@ def _write_targets(y, trial, onset, channel, sign, pulse_width: int, delay_steps
     np.cumsum(y, axis=1, out=y)
 
 
+def _clean_hold_mask(events: np.ndarray, y: np.ndarray, config, pad: int) -> np.ndarray:
+    """[trials, t_steps] clean holds of ``y``: all channels at +-1 and no
+    pulse of ``events`` (trials from y's first) in [onset, onset + pulse_width
+    + delay_steps + pad]. The open windows are a scatter-add of +1 at each
+    onset and -1 past its window's end (at most t_steps), summed over steps."""
+    committed = y == 1.0
+    committed |= y == -1.0
+    mask = committed.all(axis=2)
+    del committed
+    trial, onset, t_steps = events[0], events[1], y.shape[1]
+    span = min(config.pulse_width + config.delay_steps + pad + 1, t_steps)   # no overflow
+    open_windows = np.zeros((len(y), t_steps + 1), dtype=np.int32)
+    np.add.at(open_windows, (trial, onset), 1)
+    np.add.at(open_windows, (trial, np.minimum(onset + span, t_steps)), -1)
+    np.cumsum(open_windows, axis=1, out=open_windows)
+    mask &= open_windows[:, :t_steps] == 0
+    return mask
+
+
 def _build(config: TaskConfig, halves: _Halves, x, y, noise) -> tuple:
     """Draw the events of a block of trials and write the trials into its
     zeroed x and y: each trial's noise from the ``noise`` Generator, set to
@@ -248,7 +267,7 @@ def generate_trial(config: TaskConfig, rng: SeededRng) -> Trial:
     x = np.zeros((1, config.t_steps, config.n_bits))
     y = np.zeros_like(x)
     events = _build(config, halves, x, y, rng.gen)
-    return Trial(x[0], y[0], events=_event_tuples(1, *events)[0], config=config)
+    return Trial(x[0], y[0], tuple(map(tuple, events[1:].T.tolist())), config)
 
 
 def trial_rng(config: TaskConfig, index: int) -> SeededRng:
@@ -257,14 +276,19 @@ def trial_rng(config: TaskConfig, index: int) -> SeededRng:
     return SeededRng(derive_seed(config.seed, f"trial|{index}"))
 
 
-def _blocks(config: TaskConfig, samples: int):
-    """(lo, hi, halves) of each block of at most ``_BLOCK_TRIALS`` trials:
-    the streams of ``trial_rng(config, i)`` for lo <= i < hi."""
+def _block_events(config: TaskConfig, samples: int, draw) -> np.ndarray:
+    """The [4, E] events of ``samples`` trials, block by block of trials
+    lo..hi-1 from ``draw(lo, hi, halves)`` with lo added to the trial row;
+    grown in place, since joining the blocks would briefly hold them twice."""
+    events = np.empty((0, 4), dtype=np.int64)
     for lo in range(0, samples, _BLOCK_TRIALS):
         hi = min(lo + _BLOCK_TRIALS, samples)
         streams = [np.random.PCG64(derive_seed(config.seed, f"trial|{i}"))
                    for i in range(lo, hi)]
-        yield lo, hi, _Halves(streams, _first_read(config))
+        block = draw(lo, hi, _Halves(streams, _first_read(config)))
+        events.resize((len(events) + block.shape[1], 4), refcheck=False)
+        events[len(events) - block.shape[1]:] = block.T + [lo, 0, 0, 0]
+    return events.T
 
 
 def _mapped(shape: tuple) -> np.ndarray:
@@ -285,10 +309,8 @@ def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
     x = _mapped((samples, config.t_steps, config.n_bits))
     y = _mapped(x.shape)
     noise = np.random.Generator(np.random.PCG64(0))   # set to each trial's stream
-    events = []
-    for lo, hi, halves in _blocks(config, samples):
-        drawn = _build(config, halves, x[lo:hi], y[lo:hi], noise)
-        events += _event_tuples(hi - lo, *drawn)
+    events = _block_events(config, samples, lambda lo, hi, halves: _build(
+        config, halves, x[lo:hi], y[lo:hi], noise))
     return Dataset(x, y, config, events)
 
 
@@ -313,8 +335,7 @@ def generate_probe(config: TaskConfig) -> Trial:
         flipped = next(c for c in range(3) if states[k][c] != states[k - 1][c])
         events.append((k * spacing, flipped, states[k][flipped]))
     config = dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0)
-    onset, channel, sign = np.array(events, dtype=np.int64).T
-    arrays = (np.zeros_like(onset), onset, channel, sign)
+    arrays = np.insert(np.array(events, dtype=np.int64).T, 0, 0, axis=0)   # trial 0
     x = np.zeros((1, PROBE_STEPS, 3))
     y = np.zeros_like(x)
     _add_pulses(x, *arrays, config.pulse_width, config.pulse_amp)
@@ -323,8 +344,8 @@ def generate_probe(config: TaskConfig) -> Trial:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> list:
-    """Write x.rnt, y.rnt and config.json; returns the file paths. The events
-    are not written: ``load_dataset`` regenerates them from the config."""
+    """Write x.rnt, y.rnt and config.json; returns the file paths. The [4, E]
+    events are not written: ``load_dataset`` regenerates them."""
     paths = [os.path.join(out_dir, name) for name in ("x.rnt", "y.rnt", "config.json")]
     write_tensor(paths[0], dataset.x)
     write_tensor(paths[1], dataset.y)
@@ -333,7 +354,7 @@ def save_dataset(dataset: Dataset, out_dir) -> list:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory. Each sample's events are drawn again from
+    """Read a dataset directory. Its [4, E] events are drawn again from each
     ``trial_rng(config, i)``, which yields them before any noise, 64 trials
     at a time and with no noise drawn."""
     config_path = os.path.join(in_dir, "config.json")
@@ -347,7 +368,6 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"inconsistent dataset tensors: x {x.shape}, y {y.shape}")
     if x.shape[1:] != (config.t_steps, config.n_bits):
         raise ValueError(f"dataset tensors {x.shape} do not match config.json")
-    events = []
-    for lo, hi, halves in _blocks(config, x.shape[0]):
-        events += _event_tuples(hi - lo, *_draw_events(config, halves))
+    events = _block_events(config, x.shape[0],
+                           lambda lo, hi, halves: _draw_events(config, halves))
     return Dataset(x, y, config, events)

@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import SeededRng
 from .model import (ModelConfig, RnnParams, _buffer, _forward_input,
                     _recurrence, _step_matrix, batch_forward)
-from .task import Dataset, Trial
+from .task import Dataset, Trial, _clean_hold_mask, _events_of
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
 LR_FLOOR = 0.3
@@ -478,9 +478,9 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     """Mini-batch training loop; returns (trained params, TrainReport).
 
     A trailing ``eval_fraction`` of the samples, rounded to whole trials
-    and at most all but one, is held out of training and used for the
-    report's final metrics. When that rounds to no trial, the final
-    metrics score the training set, and the report's ``held_out`` is 0.
+    and at most all but one, is held out of training, with its [4, E]
+    events (``task._events_of``), for the report's final metrics. When that
+    rounds to no trial, they score the training set, and ``held_out`` is 0.
     Update k of the run uses the learning rate
     ``train_cfg.learning_rate_at(k, total_updates)``. Every epoch is
     shuffled by a stream derived from (seed, epoch).
@@ -537,45 +537,25 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
 
     wall = time.perf_counter() - start
     del work   # free the buffers before the held-out forward pass allocates its own
-    if n_eval > 0:
-        eval_set = Dataset(dataset.x[n_train:], dataset.y[n_train:],
-                           dataset.config, dataset.events[n_train:])
-    else:
-        eval_set = dataset
+    eval_set = dataset if not n_eval else Dataset(
+        dataset.x[n_train:], dataset.y[n_train:], dataset.config,
+        _events_of(dataset.events, n_train, dataset.samples))
     report = TrainReport(loss_per_epoch=losses, wall_time=wall,
                          final_eval=evaluate(params, model_cfg, eval_set),
                          held_out=n_eval)
     return params, report
 
 
-def _clean_hold_mask(events, y: np.ndarray, config, pad: int) -> np.ndarray:
-    """Steps of each trial that are clean holds: every channel committed to
-    +-1 and no pulse in [onset, onset + pulse_width + delay_steps + pad].
-
-    ``events[i]`` holds trial i's (onset_step, channel, sign) triples and
-    ``y`` is [trials, t_steps, channels]; returns [trials, t_steps]. The
-    window also covers a trailing pulse whose delayed target flip lands
-    beyond the horizon.
-    """
-    committed = y == 1.0
-    committed |= y == -1.0
-    mask = committed.all(axis=2)
-    span = config.pulse_width + config.delay_steps + pad + 1
-    for i, trial_events in enumerate(events):
-        for onset, _, _ in trial_events:
-            mask[i, onset:onset + span] = False
-    return mask
-
-
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
              transition_pad: int = 10) -> EvalMetrics:
     """MSE over every step plus sign-match accuracy on clean hold steps.
 
-    ``data`` is a Dataset or a single Trial. Accuracy counts the steps where
+    ``data`` is a Dataset, with [4, E] events, or a single Trial, whose
+    triples become such events of trial 0. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside the transition window
-    of every pulse event (``_clean_hold_mask``), and sign(z) equals the
-    target on all channels; it is NaN when no step is a clean hold. Both
-    are NaN for a dataset of no trials.
+    of every pulse event (``task._clean_hold_mask``, per chunk), and sign(z)
+    equals the target on all channels; it is NaN when no step is a clean
+    hold. Both are NaN for a dataset of no trials.
 
     The trials are cut into chunks of at most _EVAL_TRIALS trials
     (``_chunk_bounds``), two at least once there are more than
@@ -601,7 +581,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     GEMMs do not depend on the worker count, so neither do the metrics.
     """
     if isinstance(data, Trial):
-        x, y, events = data.inputs[None], data.targets[None], [data.events]
+        triples = np.array(data.events, dtype=np.int64).reshape(-1, 3).T
+        x, y, events = data.inputs[None], data.targets[None], np.insert(triples, 0, 0, axis=0)
     else:
         x, y, events = data.x, data.y, data.events
     cfg = data.config
@@ -623,7 +604,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
 
     def run(lo, hi, flat):
         ys = y[lo:hi]
-        valid = _clean_hold_mask(events[lo:hi], ys, cfg, transition_pad)
+        valid = _clean_hold_mask(_events_of(events, lo, hi), ys, cfg, transition_pad)
         squared, matched = _forward_chunk(w, model_cfg, x[lo:hi], ys, valid,
                                           _buffer((block + 2, width, hi - lo), flat))
         return squared, matched, int(valid.sum())

@@ -88,6 +88,15 @@ def clean_hold_oracle(events, y, pulse_width, delay, pad):
     return valid
 
 
+def split_events(events, trials):
+    """Per trial, the tuple of the (onset, channel, sign) triples of a
+    [4, E] event array, in column order."""
+    per_trial = [[] for _ in range(trials)]
+    for trial, onset, channel, sign in np.asarray(events).T.tolist():
+        per_trial[trial].append((onset, channel, sign))
+    return [tuple(triples) for triples in per_trial]
+
+
 def draw_events(config, rng):
     """A trial's pulse events from scalar ``Generator.integers`` calls: per
     channel, a gap in [min_gap, max_gap] and then a sign, while the pulse

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+import math
 from itertools import product
 
 import numpy as np
@@ -23,6 +25,7 @@ from ffrnn.analysis import (
 from ffrnn.linalg import SeededRng, orthogonal_init
 from ffrnn.model import ModelConfig, RnnParams, init_params
 from ffrnn.task import TaskConfig, Trial, generate_probe
+from ffrnn.tensorio import dump_json
 
 
 def cube_vertices():
@@ -150,6 +153,11 @@ class TestMemoryStates:
         assert not report.complete
         assert len(report.missing_states) == 4
         assert report.edge_group is None
+        # no number over an empty denominator: NaN here, null in the JSON
+        assert math.isnan(report.separation_ratio)
+        assert math.isnan(report.within_state_spread)
+        out = json.loads(dump_json(report.to_dict()))
+        assert out["separation_ratio"] is None and out["within_state_spread"] is None
 
     def test_hold_margin_excludes_transients(self):
         projection, probe = synthetic_projection_and_probe(hold=30)

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -620,6 +623,97 @@ def test_fuzzed_config_file_exits_0_2_or_3(config_root, command, values):
     event(f"{command[0]} exit {code}")
     assert code in (0, 2, 3)
     assert set(os.listdir(cwd)) == before
+
+
+@pytest.fixture(scope="module")
+def analysis_root(tmp_path_factory):
+    """A directory holding ``ckpt``, an untrained 8-unit checkpoint with the
+    default task, for the fuzzed analysis commands to write beside."""
+    root = tmp_path_factory.mktemp("fuzz_analysis")
+    cfg = ModelConfig(n_units=8)
+    save_checkpoint(root / "ckpt", init_params(cfg, SeededRng(3)), cfg,
+                    {"task": dataclasses.asdict(TaskConfig())})
+    return root
+
+
+def captured_cli(*args):
+    """(exit code, stdout, stderr) of one run of ``exit_code``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def margin_value(text):
+    """The hold margin that ``--margin=text`` asks for, or None if argparse
+    or ``memory_states`` rejects it."""
+    try:
+        margin = int(text)
+    except ValueError:
+        return None
+    return margin if margin >= 0 else None
+
+
+# margins of every size and sign, and text that --margin does not take;
+# at margin 100 or more no state of the probe holds that long
+MARGINS = st.one_of(st.integers(-2, 120), st.integers(),
+                    st.sampled_from(["1.5", "", "x", "1e3", "nan", "-0", "10" * 12]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(margin=MARGINS)
+def test_fuzzed_cube_margin_exits_0_or_2(analysis_root, margin):
+    # an incomplete cube has no metric: null on stdout and in the report
+    out = analysis_root / "cube"
+    code, stdout, stderr = captured_cli("cube", "--checkpoint", analysis_root / "ckpt",
+                                        f"--margin={margin}", "--out", out)
+    assert "Traceback" not in stderr
+    assert code == (2 if margin_value(str(margin)) is None else 0), stderr
+    if code == 2:
+        return
+    summary = json.loads(stdout)
+    report = json.loads((out / "cube_report.json").read_text())
+    event(f"cube complete {summary['complete']}")
+    assert summary["complete"] == (report["missing_states"] == [])
+    if not summary["complete"]:
+        assert summary["separation_ratio"] is None
+        for key in ("edge_group", "face_group", "body_group",
+                    "within_state_spread", "separation_ratio"):
+            assert report[key] is None, key
+
+
+@settings(max_examples=20, deadline=None)
+@given(margin=MARGINS)
+def test_fuzzed_compare_margin_exits_0_or_2(analysis_root, margin):
+    # two copies of one checkpoint: complete cubes align with no residual,
+    # and incomplete ones are refused with exit 2
+    ckpt = analysis_root / "ckpt"
+    code, stdout, stderr = captured_cli("compare", "--checkpoints", ckpt, ckpt,
+                                        f"--margin={margin}",
+                                        "--out", analysis_root / "compare")
+    event(f"compare exit {code}")
+    assert "Traceback" not in stderr
+    assert code in (0, 2)
+    if code == 0:
+        (pair,) = json.loads(stdout)
+        assert pair["raw_diff"] == 0.0 and pair["procrustes_residual"] <= 1e-9
+    elif margin_value(str(margin)) is not None:
+        assert "missing states" in stderr
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.one_of(st.floats(), st.sampled_from(["", "x", "1e400", "-0.0"])))
+def test_fuzzed_spectrum_eps_exits_0_or_2(analysis_root, eps):
+    code, stdout, stderr = captured_cli("spectrum", "--checkpoint", analysis_root / "ckpt",
+                                        f"--eps={eps}", "--out", analysis_root / "spec")
+    assert "Traceback" not in stderr
+    try:
+        valid = 0 <= float(eps) < math.inf
+    except ValueError:
+        valid = False
+    assert code == (0 if valid else 2), stderr
+    if valid:
+        assert 0 <= json.loads(stdout)["n_outside"] <= 8
 
 
 def write_latch_checkpoint(out_dir, task_cfg):

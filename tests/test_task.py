@@ -26,7 +26,7 @@ from ffrnn.task import (
     trial_rng,
 )
 
-from oracles import build_dataset, build_trial, replay_oracle
+from oracles import build_dataset, build_trial, clean_hold_oracle, replay_oracle, split_events
 
 
 def write_targets(events, t_steps, delay_steps, n_bits, pulse_width):
@@ -139,7 +139,7 @@ class TestGenerateDataset:
         lone = generate_trial(cfg, trial_rng(cfg, 377))
         npt.assert_array_equal(ds.x[377], lone.inputs)
         npt.assert_array_equal(ds.y[377], lone.targets)
-        assert ds.events[377] == lone.events
+        assert split_events(ds.events, 500)[377] == lone.events
 
     def test_dataset_determinism(self):
         cfg = TaskConfig(t_steps=80, seed=13)
@@ -156,7 +156,8 @@ class TestGenerateDataset:
         assert back.config == cfg
         npt.assert_array_equal(back.x, ds.x.astype(np.float32))
         npt.assert_array_equal(back.y, ds.y)  # targets are exact in f32
-        assert back.events == ds.events  # regenerated, not stored
+        assert back.events.dtype == ds.events.dtype == np.int64
+        npt.assert_array_equal(back.events, ds.events)  # regenerated, not stored
         assert sorted(os.listdir(tmp_path)) == ["config.json", "x.rnt", "y.rnt"]
 
     def test_config_shape_mismatch_rejected(self, tmp_path):
@@ -275,10 +276,10 @@ class TestStreamIdentity:
         ds = generate_dataset(cfg, samples)
         assert ds.x.tobytes() == x.tobytes()
         assert ds.y.tobytes() == y.tobytes()
-        assert ds.events == events
+        assert split_events(ds.events, samples) == events
         with tempfile.TemporaryDirectory() as out:
             save_dataset(ds, out)
-            assert load_dataset(out).events == events
+            assert split_events(load_dataset(out).events, samples) == events
 
     @pytest.mark.parametrize("span", [2, 71, 3 << 30])
     def test_lockstep_integers_match_generator(self, span):
@@ -334,6 +335,63 @@ class TestStreamIdentity:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             TaskConfig(min_gap=0, max_gap=1 << 32)
         TaskConfig(min_gap=1, max_gap=1 << 32)
+
+
+@st.composite
+def mask_cases(draw):
+    """(events, y, config, pad) for ``task._clean_hold_mask``: a [4, E]
+    event array of 1-8 trials in shuffled column order, where a trial may
+    have no events and a step may hold pulses on two channels, targets in
+    {-1, 0, +1} with a tenth uncommitted, and pads from 0 to past the last
+    step, 2**70 among them."""
+    trials, t_steps, n_bits = (draw(st.integers(1, 8)), draw(st.integers(1, 40)),
+                               draw(st.integers(1, 3)))
+    columns = []
+    for trial in range(trials):
+        for _ in range(draw(st.integers(0, 3))):
+            onset = draw(st.integers(0, t_steps - 1))
+            for channel in draw(st.lists(st.integers(0, n_bits - 1), min_size=1,
+                                         max_size=2)):
+                columns.append((trial, onset, channel, draw(st.sampled_from([-1, 1]))))
+    order = draw(st.permutations(range(len(columns))))
+    events = np.array([columns[k] for k in order], dtype=np.int64).reshape(-1, 4).T
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.choice([-1.0, 0.0, 1.0], size=(trials, t_steps, n_bits), p=[0.45, 0.1, 0.45])
+    config = TaskConfig(pulse_width=draw(st.integers(1, 6)),
+                        delay_steps=draw(st.integers(0, 6)))
+    pad = draw(st.one_of(st.just(0), st.integers(0, 10),
+                         st.integers(t_steps + 1, t_steps + 20), st.just(2 ** 70)))
+    return events, y, config, pad
+
+
+# three trials of 12 steps, the middle one without events: two channels
+# pulse at step 5 of trial 0, and trial 2's window runs past the last step
+HAND_EVENTS = np.array([[2, 10, 1, 1], [0, 5, 2, -1], [0, 5, 0, 1]]).T
+
+
+class TestCleanHoldMask:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mask_cases())
+    @example(case=(HAND_EVENTS, np.ones((3, 12, 3)), TaskConfig(pulse_width=2,
+                                                                delay_steps=1), 0))
+    @example(case=(HAND_EVENTS, np.ones((3, 12, 3)), TaskConfig(), 50))
+    def test_matches_step_by_step_oracle(self, case):
+        events, y, config, pad = case
+        mask = task._clean_hold_mask(events, y, config, pad)
+        expected = [clean_hold_oracle(triples, y[i], config.pulse_width,
+                                      config.delay_steps, pad)
+                    for i, triples in enumerate(split_events(events, len(y)))]
+        assert mask.dtype == bool
+        npt.assert_array_equal(mask, np.stack(expected))
+
+    def test_hand_case(self):
+        # pulse width 2, delay 1, pad 0: a window covers onset .. onset + 3
+        mask = task._clean_hold_mask(HAND_EVENTS, np.ones((3, 12, 3)),
+                                     TaskConfig(pulse_width=2, delay_steps=1), 0)
+        clear = np.ones((3, 12), dtype=bool)
+        clear[0, 5:9] = False
+        clear[2, 10:] = False
+        npt.assert_array_equal(mask, clear)
 
 
 class TestDatasetMemory:

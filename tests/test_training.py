@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from ffrnn import training
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, batch_forward, init_params
-from ffrnn.task import Dataset, TaskConfig, Trial, generate_dataset
+from ffrnn.task import (Dataset, TaskConfig, Trial, _clean_hold_mask, generate_dataset,
+                        generate_trial, trial_rng)
 from ffrnn.training import (
     BETA1,
     BETA2,
@@ -28,7 +29,6 @@ from ffrnn.training import (
     _BLOCK_STEPS,
     _CHUNK_TRIALS,
     _EVAL_TRIALS,
-    _clean_hold_mask,
     adam_update,
     bptt_gradients,
     bptt_workspace,
@@ -39,7 +39,9 @@ from ffrnn.training import (
     run_gradcheck,
     train,
 )
-from oracles import bptt_oracle, clean_hold_oracle, step
+from oracles import bptt_oracle, clean_hold_oracle, split_events, step
+
+NO_EVENTS = np.zeros((4, 0), dtype=np.int64)
 
 
 def naive_mean_squared(z, target):
@@ -814,6 +816,28 @@ class TestTrain:
         _, report = train(params, mcfg, ds, tcfg)
         assert report.loss_per_epoch[-1] < report.loss_per_epoch[0]
 
+    def test_held_out_split_scores_the_tail_trials(self):
+        # the last quarter of 40 trials, each rebuilt on its own from its
+        # (seed, index) stream and scored with batch_forward and the
+        # step-by-step mask: the split hands evaluate those trials' events,
+        # numbered from the first of them
+        cfg = TaskConfig(seed=50)
+        ds = generate_dataset(cfg, 40)
+        mcfg = ModelConfig(n_units=16)
+        params = init_params(mcfg, SeededRng(51))
+        _, report = train(params, mcfg, ds, TrainConfig(epochs=0, seed=52),
+                          eval_fraction=0.25)
+        assert report.held_out == 10
+        tail = [generate_trial(cfg, trial_rng(cfg, i)) for i in range(30, 40)]
+        y = np.stack([trial.targets for trial in tail])
+        _, z = batch_forward(params, mcfg, np.stack([trial.inputs for trial in tail]))
+        mask = np.stack([clean_hold_oracle(trial.events, trial.targets, cfg.pulse_width,
+                                           cfg.delay_steps, 10) for trial in tail])
+        ok = np.all(np.sign(z) == y, axis=2) & mask
+        assert 0 < ok.sum() < mask.sum()
+        npt.assert_allclose(report.final_eval.mse, np.mean((z - y) ** 2), rtol=1e-12)
+        assert report.final_eval.state_accuracy == ok.sum() / mask.sum()
+
 
 def latch_params(kappa=1000.0):
     """Hand-built network that latches pulses exactly: one unit per bit."""
@@ -844,7 +868,7 @@ class TestEvaluate:
         # no pulse fits in 40 steps, so no target is ever committed
         cfg = TaskConfig(t_steps=40, min_gap=50, max_gap=60)
         ds = generate_dataset(cfg, 3)
-        assert not any(ds.events)
+        assert ds.events.shape == (4, 0)
         metrics = evaluate(latch_params(), ModelConfig(n_units=3), ds)
         assert np.isnan(metrics.state_accuracy)
         assert np.isfinite(metrics.mse)
@@ -861,7 +885,7 @@ class TestEvaluate:
     def test_single_trial_input(self):
         cfg = TaskConfig(noise_std=0.0, seed=33)
         ds = generate_dataset(cfg, 1)
-        trial = Trial(ds.x[0], ds.y[0], events=ds.events[0], config=cfg)
+        trial = Trial(ds.x[0], ds.y[0], events=split_events(ds.events, 1)[0], config=cfg)
         metrics = evaluate(latch_params(), ModelConfig(n_units=3), trial)
         assert metrics.state_accuracy == 1.0
 
@@ -870,8 +894,8 @@ class TestEvaluate:
         cfg = TaskConfig(noise_std=noise, seed=7000)
         ds = generate_dataset(cfg, 60)
         mask = _clean_hold_mask(ds.events, ds.y, cfg, 10)
-        for i in range(60):
-            expected = clean_hold_oracle(ds.events[i], ds.y[i], cfg.pulse_width,
+        for i, events in enumerate(split_events(ds.events, 60)):
+            expected = clean_hold_oracle(events, ds.y[i], cfg.pulse_width,
                                          cfg.delay_steps, 10)
             npt.assert_array_equal(mask[i], expected)
         # the events, and so the mask, do not depend on the noise level
@@ -890,7 +914,7 @@ class TestEvaluate:
         params = init_params(mcfg, SeededRng(37))
         trials = 384
         x = SeededRng(38).gen.normal(size=(trials, 300, 3))
-        ds = Dataset(x, np.zeros_like(x), task, [[] for _ in range(trials)])
+        ds = Dataset(x, np.zeros_like(x), task, NO_EVENTS)
         evaluate(params, mcfg, ds)
         tracemalloc.start()
         try:
@@ -942,9 +966,9 @@ class TestEvaluate:
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
         npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
-        mask = np.stack([clean_hold_oracle(ds.events[i], ds.y[i], cfg.pulse_width,
+        mask = np.stack([clean_hold_oracle(events, ds.y[i], cfg.pulse_width,
                                            cfg.delay_steps, pad)
-                         for i in range(trials)])
+                         for i, events in enumerate(split_events(ds.events, trials))])
         assert mask.any()
         ok = np.all(np.sign(z) == ds.y, axis=2)
         assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
@@ -1008,8 +1032,9 @@ class TestEvaluate:
         rng = SeededRng(seed + 1).gen
         y = np.sign(z) * np.where(rng.random(z.shape) < 0.2, -1.0, 1.0)
         y[rng.random(z.shape) < 0.1] = 0.0
-        events = [[(int(onset), 0, 1.0) for onset in
-                   rng.integers(0, t_steps, rng.integers(0, 3))] for _ in range(trials)]
+        events = np.array([(i, onset, 0, 1) for i in range(trials) for onset in
+                           rng.integers(0, t_steps, rng.integers(0, 3))],
+                          dtype=np.int64).reshape(-1, 4).T
         task = TaskConfig(pulse_width=2, delay_steps=1)   # the mask reads these two
         ds = Dataset(x, y, task, events)
         workers_before = training._CHUNK_WORKERS
@@ -1024,8 +1049,8 @@ class TestEvaluate:
         npt.assert_equal(dataclasses.astuple(metrics), dataclasses.astuple(serial))
         assert readouts.mse == 0.0
         npt.assert_allclose(metrics.mse, np.mean((z - y) ** 2), rtol=1e-12, atol=0)
-        mask = np.stack([clean_hold_oracle(events[i], y[i], 2, 1, 1)
-                         for i in range(trials)])
+        mask = np.stack([clean_hold_oracle(triples, y[i], 2, 1, 1)
+                         for i, triples in enumerate(split_events(events, trials))])
         ok = np.all(np.sign(z) == y, axis=2) & mask
         if mask.any():
             assert metrics.state_accuracy == ok.sum() / mask.sum()
@@ -1066,7 +1091,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "_forward_chunk", chunk)
         evaluate(params, mcfg, Dataset(x, np.zeros_like(x), TaskConfig(t_steps=40),
-                                       [[] for _ in range(trials)]))
+                                       NO_EVENTS))
         assert sorted(starts) == list(zip(np.cumsum([0] + chunks[:-1]).tolist(), chunks))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1076,14 +1101,14 @@ class TestEvaluate:
         cfg = TaskConfig(t_steps=40)
         x = np.zeros((0, 40, 3))
         metrics = evaluate(latch_params(), ModelConfig(n_units=3),
-                           Dataset(x, x.copy(), cfg, []))
+                           Dataset(x, x.copy(), cfg, NO_EVENTS))
         assert math.isnan(metrics.mse) and math.isnan(metrics.state_accuracy)
 
     def test_no_steps_is_nan(self):
         # trials of no steps run no block: no number for either metric
         x = np.zeros((70, 0, 3))
         metrics = evaluate(latch_params(), ModelConfig(n_units=3),
-                           Dataset(x, x.copy(), TaskConfig(), [[] for _ in range(70)]))
+                           Dataset(x, x.copy(), TaskConfig(), NO_EVENTS))
         assert math.isnan(metrics.mse) and math.isnan(metrics.state_accuracy)
 
     @staticmethod
@@ -1135,7 +1160,7 @@ for n in (8, 16, 64, 128, 200, 256):
         rng = SeededRng(47 + trials)
         x = rng.gen.normal(size=(trials, cfg.t_steps, 3))
         signs = Dataset(x, np.sign(rng.gen.normal(size=x.shape)), cfg,
-                        [[] for _ in range(trials)])
+                        np.zeros((4, 0), dtype=np.int64))
         z = np.concatenate([batch_forward(params, mcfg, x[lo:hi])[1]
                             for lo, hi in training._chunk_bounds(
                                 trials, n, training._EVAL_TRIALS)])
