@@ -88,7 +88,9 @@ class Trial:
 @dataclass
 class Dataset:
     """x, y tensors of shape [samples, t_steps, n_bits], the generator config,
-    and the [4, E] int64 events, a (trial, onset, channel, sign) column each."""
+    and the [4, E] int64 events, a (trial, onset, channel, sign) column each.
+    The targets y are int8 as ``generate_dataset`` and ``load_dataset`` build
+    them, every one -1, 0 or +1; x is float64."""
 
     x: np.ndarray
     y: np.ndarray
@@ -210,34 +212,38 @@ def _write_targets(y, trial, onset, channel, sign, pulse_width: int, delay_steps
     y[trial, step, channel]: each event sets its channel to sign at
     onset + pulse_width + delay_steps. Built as the running sum over steps of
     each event's change of state, sign minus the sign before it on its
-    channel, which float64 sums exactly. The delay is an argument, so the
-    targets of any delay come from the same events."""
+    channel, in y's own dtype and in place; every partial sum is a state in
+    {-1, 0, +1}, so int8 and float64 sum it exactly. The delay is an
+    argument, so the targets of any delay come from the same events."""
     order = np.lexsort((onset, channel, trial))
     trial, onset, channel, sign = trial[order], onset[order], channel[order], sign[order]
-    change = sign.astype(np.float64)
+    change = sign.astype(y.dtype)
     same = (trial[1:] == trial[:-1]) & (channel[1:] == channel[:-1])
     change[1:][same] -= sign[:-1][same]
     effect = onset + pulse_width + delay_steps
     shown = effect < y.shape[1]
     y[trial[shown], effect[shown], channel[shown]] = change[shown]
-    np.cumsum(y, axis=1, out=y)
+    np.cumsum(y, axis=1, dtype=y.dtype, out=y)
 
 
 def _clean_hold_mask(events: np.ndarray, y: np.ndarray, config, pad: int) -> np.ndarray:
     """[trials, t_steps] clean holds of ``y``: all channels at +-1 and no
     pulse of ``events`` (trials from y's first) in [onset, onset + pulse_width
     + delay_steps + pad]. The open windows are a scatter-add of +1 at each
-    onset and -1 past its window's end (at most t_steps), summed over steps."""
-    committed = y == 1.0
-    committed |= y == -1.0
+    onset and -1 past its window's end (at most t_steps), summed over steps
+    in place. No count exceeds the number of events, so they are int16
+    below 2**15 events and int32 from there."""
+    committed = y == 1
+    committed |= y == -1
     mask = committed.all(axis=2)
     del committed
     trial, onset, t_steps = events[0], events[1], y.shape[1]
     span = min(config.pulse_width + config.delay_steps + pad + 1, t_steps)   # no overflow
-    open_windows = np.zeros((len(y), t_steps + 1), dtype=np.int32)
+    count = np.int16 if events.shape[1] < 1 << 15 else np.int32
+    open_windows = np.zeros((len(y), t_steps + 1), dtype=count)
     np.add.at(open_windows, (trial, onset), 1)
     np.add.at(open_windows, (trial, np.minimum(onset + span, t_steps)), -1)
-    np.cumsum(open_windows, axis=1, out=open_windows)
+    np.cumsum(open_windows, axis=1, dtype=count, out=open_windows)
     mask &= open_windows[:, :t_steps] == 0
     return mask
 
@@ -291,23 +297,25 @@ def _block_events(config: TaskConfig, samples: int, draw) -> np.ndarray:
     return events.T
 
 
-def _mapped(shape: tuple) -> np.ndarray:
-    """A zeroed float64 array in a private anonymous mapping of its own,
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed ``dtype`` array in a private anonymous mapping of its own,
     unmapped when the array is freed. A dataset freed from the heap would
     leave a large free chunk there, or raise glibc's mmap threshold, and the
     next one set up would grow the heap instead of reusing it. Every page is
     written, so the mapping is populated up front, which the kernel does
     faster than one page fault at a time."""
+    dtype = np.dtype(dtype)
     count = math.prod(shape)
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, 8 * count, flags=flags), count=count).reshape(shape)
+    buffer = mmap.mmap(-1, dtype.itemsize * count, flags=flags)
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def generate_dataset(config: TaskConfig, samples: int) -> Dataset:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = _mapped((samples, config.t_steps, config.n_bits))
-    y = _mapped(x.shape)
+    x = _mapped((samples, config.t_steps, config.n_bits), np.float64)
+    y = _mapped(x.shape, np.int8)   # every target is -1, 0 or +1
     noise = np.random.Generator(np.random.PCG64(0))   # set to each trial's stream
     events = _block_events(config, samples, lambda lo, hi, halves: _build(
         config, halves, x[lo:hi], y[lo:hi], noise))
@@ -354,7 +362,8 @@ def save_dataset(dataset: Dataset, out_dir) -> list:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory. Its [4, E] events are drawn again from each
+    """Read a dataset directory, its targets as int8 (``_read_targets``).
+    Its [4, E] events are drawn again from each
     ``trial_rng(config, i)``, which yields them before any noise, 64 trials
     at a time and with no noise drawn."""
     config_path = os.path.join(in_dir, "config.json")
@@ -363,7 +372,7 @@ def load_dataset(in_dir) -> Dataset:
     with open(config_path) as fh:
         config = config_from(TaskConfig, json.load(fh), config_path)
     x = read_tensor(os.path.join(in_dir, "x.rnt"))
-    y = read_tensor(os.path.join(in_dir, "y.rnt"))
+    y = _read_targets(os.path.join(in_dir, "y.rnt"))
     if x.shape != y.shape or x.ndim != 3:
         raise ValueError(f"inconsistent dataset tensors: x {x.shape}, y {y.shape}")
     if x.shape[1:] != (config.t_steps, config.n_bits):
@@ -371,3 +380,18 @@ def load_dataset(in_dir) -> Dataset:
     events = _block_events(config, x.shape[0],
                            lambda lo, hi, halves: _draw_events(config, halves))
     return Dataset(x, y, config, events)
+
+
+def _read_targets(path) -> np.ndarray:
+    """The targets of a y.rnt file as int8, read as the file's float32. Any
+    value but -1, 0 or +1 (NaN included) raises a ValueError naming
+    ``path`` and the first such value."""
+    y = read_tensor(path, np.float32)
+    valid = y == 0
+    valid |= y == 1
+    valid |= y == -1
+    if not valid.all():
+        bad = np.unravel_index(np.argmin(valid), y.shape)
+        raise ValueError(f"{path}: targets must be -1, 0 or +1, "
+                         f"found {float(y[bad])!r} at {tuple(map(int, bad))}")
+    return y.astype(np.int8)

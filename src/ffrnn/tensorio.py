@@ -5,7 +5,8 @@ the one JSON form, and ``config_from`` turns a JSON table back into a config.
 
 Tensor files: magic b"RNT1", then little-endian uint32 fields version=1,
 rank, dims[rank], followed by the payload as row-major little-endian
-IEEE-754 float32. Internal float64 values are rounded to float32 on write.
+IEEE-754 float32. Internal float64 values are rounded to float32 on write;
+the int8 targets of a dataset are exact in float32.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def config_from(cls, mapping, source):
 
     A key that is not a field of ``cls``, a value whose JSON type does not
     fit its field's annotation, or a missing field (the constructor's
-    TypeError) raises a ValueError naming ``source`` and the key.
+    TypeError) raises a ValueError naming ``source`` and the key. A float
+    field given a JSON integer takes it as a float, so an integer beyond the
+    float range is refused here too, not in the arithmetic that uses it.
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"{source}: expected a table of {cls.__name__} fields")
@@ -80,25 +83,39 @@ def config_from(cls, mapping, source):
     unknown = set(mapping) - set(hints)
     if unknown:
         raise ValueError(f"{source}: unknown {cls.__name__} keys {sorted(unknown)}")
+    values = dict(mapping)
     for key, value in mapping.items():
         allowed = _JSON_TYPES.get(hints[key])
         if allowed and type(value) not in allowed:
             raise ValueError(f"{source}: {cls.__name__} key {key!r} must be "
                              f"{hints[key].__name__}, got {value!r}")
+        if hints[key] is float:
+            try:
+                values[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"{source}: {cls.__name__} key {key!r} is beyond "
+                                 f"the float range, got {value!r}") from None
     try:
-        return cls(**mapping)
+        return cls(**values)
     except TypeError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
 
 def write_tensor(path, array) -> None:
-    arr = np.asarray(array, dtype=np.float64)   # tobytes writes row-major
+    """Write ``array`` as a tensor file. An array whose dtype float32 holds
+    exactly (int8 targets, say) is cast straight to float32, with no
+    float64 copy; anything else goes through float64 first, so that it is
+    rounded once, from float64, whatever its dtype."""
+    arr = np.asarray(array)
+    if not np.can_cast(arr.dtype, np.float32):
+        arr = arr.astype(np.float64, copy=False)
     header = MAGIC + struct.pack(f"<{2 + arr.ndim}I", VERSION, arr.ndim, *arr.shape)
-    write_file(path, header + arr.astype("<f4").tobytes())
+    write_file(path, header + arr.astype("<f4").tobytes())   # row-major
 
 
-def read_tensor(path) -> np.ndarray:
-    """Load a tensor file back as float64 (values carry float32 precision)."""
+def read_tensor(path, dtype=np.float64) -> np.ndarray:
+    """Load a tensor file back as ``dtype``, float64 by default (values
+    carry float32 precision)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
@@ -119,7 +136,7 @@ def read_tensor(path) -> np.ndarray:
             f"for dims {dims}"
         )
     data = np.frombuffer(payload, dtype="<f4", count=count)
-    return data.astype(np.float64).reshape(dims)
+    return data.astype(dtype).reshape(dims)
 
 
 def sha256_file(path) -> str:

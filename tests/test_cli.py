@@ -20,7 +20,7 @@ from ffrnn.cli import main
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, init_params, load_checkpoint, save_checkpoint
 from ffrnn.task import Dataset, TaskConfig, generate_dataset, load_dataset, save_dataset
-from ffrnn.tensorio import read_tensor, sha256_file
+from ffrnn.tensorio import read_tensor, sha256_file, write_tensor
 from oracles import build_dataset
 
 
@@ -53,6 +53,15 @@ class TestGen:
         assert run_cli(*gen_args(b)) == 0
         for name in ("x.rnt", "y.rnt"):
             assert sha256_file(a / name) == sha256_file(b / name)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # recorded when the targets were still float64 in memory: int8
+        # targets write the same float32 bytes
+        out = tmp_path / "d"
+        assert run_cli("gen", "--samples", 64, "--seed", 2025, "--out", out) == 0
+        assert [sha256_file(out / name) for name in ("x.rnt", "y.rnt")] == [
+            "87b6b9852ea7cc2fc13aecdc82d8dd6a5e487166ebc6cd9b7fd32267629d3f5c",
+            "254f72afc77c30cce83a20968f5d185a692482b90e5934a2729e7a0918e7acbc"]
 
     def test_header_dims(self, tmp_path):
         out = tmp_path / "d"
@@ -196,18 +205,45 @@ class TestTrain:
         cfg = TaskConfig(t_steps=60, delay_steps=5, pulse_width=4,
                          min_gap=8, max_gap=20, seed=5)
         ds = generate_dataset(cfg, 8)
-        ds.y[:, 30, 0] = np.nan
+        ds.x[:, 30, 0] = np.nan   # a NaN target is refused on load, with exit 2
         data_dir = tmp_path / "nan_data"
         save_dataset(ds, data_dir)
         out = tmp_path / "out"
         code = run_cli("train", "--data", data_dir, "--units", 8,
                        "--epochs", 1, "--batch", 4, "--out", out)
         assert code == 3
-        assert "training diverged in epoch 0: non-finite loss" in capsys.readouterr().err
+        assert ("training diverged in epoch 0: non-finite activations at step 30"
+                in capsys.readouterr().err)
         # last good parameters (the initialization) were still checkpointed
         params, _, manifest = load_checkpoint(out)
         assert manifest["diverged_at_epoch"] == 0
         assert np.isfinite(params.w_rec).all()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("value", [np.nan, 0.5, 2.0])
+    def test_target_outside_the_states_exits_2(self, tmp_path, capsys, small_data,
+                                                command, value):
+        # a target is -1, 0 or +1; anything else in y.rnt is refused on load
+        data_dir = tmp_path / "bad_targets"
+        data_dir.mkdir()
+        for name in ("x.rnt", "config.json"):
+            (data_dir / name).write_bytes((small_data / name).read_bytes())
+        y = read_tensor(small_data / "y.rnt")
+        y[3, 40, 1] = value
+        write_tensor(data_dir / "y.rnt", y)
+        out = tmp_path / "out"
+        if command == "train":
+            args = ["train", "--data", data_dir, "--units", 4, "--epochs", 1,
+                    "--out", out]
+        else:
+            ckpt = tmp_path / "ckpt"
+            cfg = ModelConfig(n_units=4)
+            save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg)
+            args = ["eval", "--checkpoint", ckpt, "--data", data_dir, "--out", out]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert f"y.rnt: targets must be -1, 0 or +1, found {value!r} at (3, 40, 1)" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples, fraction, held_out, label", [
         (8, "0.05", 0, "training-set"),    # 0.4 trials round to none
@@ -302,6 +338,16 @@ def manifest_with_unknown_task_key(tmp_path, _data):
     task = {"seed": 3, "n_channels": 3}
     save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg, {"task": task})
     return ["cube", "--checkpoint", ckpt, "--out", tmp_path / "cube"]
+
+
+def manifest_with_pulse_amp(tmp_path, amp):
+    """``project`` on a 4-unit checkpoint whose task section sets
+    pulse_amp to the JSON integer ``amp``."""
+    ckpt = tmp_path / "odd"
+    cfg = ModelConfig(n_units=4)
+    save_checkpoint(ckpt, init_params(cfg, SeededRng(1)), cfg,
+                    {"task": {"pulse_amp": amp}})
+    return ["project", "--checkpoint", ckpt, "--out", tmp_path / "proj"]
 
 
 def manifest_with_float_n_units(tmp_path, data):
@@ -445,6 +491,8 @@ def config_holding_a_list(tmp_path, _data):
                  id="float-n-units-in-manifest"),
     pytest.param(manifest_with_huge_n_units, "expected (1000000000000, 3)",
                  id="huge-n-units-in-manifest"),
+    pytest.param(lambda tmp_path, _data: manifest_with_pulse_amp(tmp_path, 10 ** 400),
+                 "'pulse_amp' is beyond the float range", id="pulse-amp-beyond-float"),
     pytest.param(dataset_with_fractional_delay, "'delay_steps' must be int",
                  id="fractional-delay-in-dataset"),
     pytest.param(lambda tmp_path, _data: ["eval", "--checkpoint", tmp_path,
@@ -716,6 +764,87 @@ def test_fuzzed_spectrum_eps_exits_0_or_2(analysis_root, eps):
         assert 0 <= json.loads(stdout)["n_outside"] <= 8
 
 
+# floats of every kind for the float flags, and values next to the edges
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(["", "x", "1e400", "-0.0"]))
+
+
+@st.composite
+def train_cases(draw):
+    """A tiny dataset's task config and sample count, and valid ``train``
+    flags at 2-4 units and 1 epoch, or with one flag at an edge: a value
+    that a config rejects, one that may diverge, or any float."""
+    width, delay = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    min_gap = draw(st.integers(0, 15))
+    task = TaskConfig(n_bits=draw(st.integers(1, 3)), t_steps=draw(st.integers(20, 40)),
+                      pulse_width=width, delay_steps=delay, min_gap=min_gap,
+                      max_gap=min_gap + draw(st.integers(0, 20)),
+                      noise_std=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 99)))
+    flags = {"units": draw(st.integers(2, 4)), "epochs": 1,
+             "batch": draw(st.integers(1, 9)), "lr": draw(st.floats(0.0, 0.1)),
+             "tau": 1.0, "dt": draw(st.sampled_from([1.0, 0.5])),
+             "clip": draw(st.floats(0.0, 10.0)), "seed": draw(st.integers(0, 2 ** 64 - 1)),
+             "eval_fraction": draw(st.floats(0.0, 0.99)),
+             "checkpoint_every": draw(st.integers(0, 2))}
+    edges = {"units": [0, -1, "3.5"], "epochs": [0, -1], "batch": [0, -3],
+             "lr": [1e300, -1e-3, "nan", "inf"], "tau": [0.0, 1e-300, 0.25, "nan"],
+             "dt": [5e-324, 3.0, "-inf"], "clip": [-1.0, "nan", "inf"],
+             "seed": [-1, 2 ** 64], "eval_fraction": [1.0, -0.1, "nan"],
+             "checkpoint_every": [-1]}
+    key = draw(st.sampled_from([None] * 4 + sorted(edges)))
+    if key:
+        edge = st.sampled_from(edges[key])
+        flags[key] = draw(edge | ANY_FLOAT if isinstance(flags[key], float) else edge)
+    return task, draw(st.integers(4, 8)), flags, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=train_cases())
+def test_fuzzed_train_exits_0_2_or_3(tmp_path_factory, case):
+    task, samples, flags, bias = case
+    root = tmp_path_factory.mktemp("fuzz_train")
+    save_dataset(generate_dataset(task, samples), root / "data")
+    code, _, stderr = captured_cli(
+        "train", "--data", root / "data", "--out", root / "ckpt",
+        *(["--bias"] if bias else []),
+        # --flag=value, so that argparse reads a value such as -1 as one
+        *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items()))
+    event(f"train exit {code}")
+    assert "Traceback" not in stderr
+    assert code in (0, 2, 3), stderr
+    if code == 0:
+        assert load_checkpoint(root / "ckpt")[2]["final_eval"]["held_out_trials"] >= 0
+
+
+@pytest.fixture(scope="module")
+def project_root(tmp_path_factory):
+    """A 3-unit checkpoint ``ckpt`` with the default task, and its manifest."""
+    root = tmp_path_factory.mktemp("fuzz_project")
+    cfg = ModelConfig(n_units=3)
+    save_checkpoint(root / "ckpt", init_params(cfg, SeededRng(4)), cfg,
+                    {"task": dataclasses.asdict(TaskConfig())})
+    return root, json.loads((root / "ckpt" / "manifest.json").read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(changed=st.dictionaries(TASK_KEYS, TASK_VALUES, max_size=3),
+       dropped=st.sets(TASK_KEYS, max_size=2), svg=st.booleans())
+def test_fuzzed_project_task_section_exits_0_or_2(project_root, changed, dropped, svg):
+    # the probe comes from the manifest's task section; a section that
+    # TaskConfig or the probe's schedule refuses exits 2
+    root, manifest = project_root
+    task = {k: v for k, v in manifest["task"].items() if k not in dropped} | changed
+    (root / "ckpt" / "manifest.json").write_text(json.dumps(manifest | {"task": task}))
+    out = root / "proj"
+    code, stdout, stderr = captured_cli("project", "--checkpoint", root / "ckpt",
+                                        *(["--svg"] if svg else []), "--out", out)
+    event(f"project exit {code}")
+    assert "Traceback" not in stderr
+    assert code in (0, 2), stderr
+    if code == 0:
+        rows = (out / "projection.csv").read_text().strip().splitlines()
+        assert len(rows) == json.loads(stdout)["points"] + 1
+
+
 def write_latch_checkpoint(out_dir, task_cfg):
     eye = np.eye(3)
     params = RnnParams(w_in=1000.0 * eye, w_rec=1000.0 * eye, w_out=eye,
@@ -839,6 +968,10 @@ class TestAnalysisCommands:
         assert summary["points"] == 600 - summary["start_step"]
         assert (out / "projection_pc1_pc2.svg").exists()
         assert (out / "projection_pc1_pc3.svg").exists()
+
+    def test_project_integer_pulse_amp(self, tmp_path):
+        # a JSON integer past int64 is a float amplitude, not an overflow
+        assert run_cli(*manifest_with_pulse_amp(tmp_path, 10 ** 20)) == 0
 
     def test_cube_report_written(self, tmp_path, fresh_ckpt):
         out = tmp_path / "cube"

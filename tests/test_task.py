@@ -275,11 +275,15 @@ class TestStreamIdentity:
         x, y, events = build_dataset(cfg, samples)
         ds = generate_dataset(cfg, samples)
         assert ds.x.tobytes() == x.tobytes()
-        assert ds.y.tobytes() == y.tobytes()
+        assert ds.y.dtype == np.int8
+        assert ds.y.astype("<f8").tobytes() == y.tobytes()
         assert split_events(ds.events, samples) == events
         with tempfile.TemporaryDirectory() as out:
             save_dataset(ds, out)
-            assert split_events(load_dataset(out).events, samples) == events
+            loaded = load_dataset(out)
+            assert split_events(loaded.events, samples) == events
+            assert loaded.y.dtype == np.int8
+            assert loaded.y.astype("<f8").tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("span", [2, 71, 3 << 30])
     def test_lockstep_integers_match_generator(self, span):

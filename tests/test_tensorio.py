@@ -113,6 +113,11 @@ def test_config_from_accepts_json_types():
     assert config_from(Typed, {"count": 3, "rate": 2, "flag": True}, "c") \
         == Typed(3, 2, True)
     assert config_from(Typed, {"rate": 1.0, "flag": False}, "c") == Typed(1, 1.0, False)
+    # a float field takes a JSON integer as a float
+    rate = config_from(Typed, {"count": 3, "rate": 10 ** 20, "flag": True}, "c").rate
+    assert type(rate) is float and rate == 1e20
+    with pytest.raises(ValueError, match=r"c: Typed key 'rate' is beyond the float range"):
+        config_from(Typed, {"count": 3, "rate": 10 ** 400, "flag": True}, "c")
     # what the program writes itself loads back
     for cfg in (ModelConfig(n_units=4, tau=2.0, dt=0.5, use_bias=True), TaskConfig()):
         mapping = json.loads(dump_json(dataclasses.asdict(cfg)))

@@ -748,7 +748,9 @@ class TestTrain:
         assert r1.loss_per_epoch == r2.loss_per_epoch
 
     def test_divergence_keeps_last_good(self):
-        ds = tiny_dataset()
+        tiny = tiny_dataset()
+        # int8 targets hold no NaN: put it into a float copy of them
+        ds = Dataset(tiny.x, tiny.y.astype(float), tiny.config, tiny.events)
         ds.y[:, 10, 0] = np.nan
         mcfg = ModelConfig(n_units=4)
         params = init_params(mcfg, SeededRng(22))
@@ -902,6 +904,19 @@ class TestEvaluate:
         quiet = generate_dataset(dataclasses.replace(cfg, noise_std=0.0), 60)
         npt.assert_array_equal(mask, _clean_hold_mask(quiet.events, quiet.y, cfg, 10))
         assert mask.mean() > 0.05
+
+    @pytest.mark.parametrize("count", [(1 << 15) - 1, 1 << 15, 1 << 16])
+    def test_mask_window_counts_do_not_wrap(self, count):
+        # count pulses open their windows at step 20 of trial 1. The window
+        # counts are int16 below 2**15 events, which holds 2**15 - 1 of
+        # them, and int32 from there: 2**16 would wrap to 0 in int16
+        cfg = TaskConfig(t_steps=60, pulse_width=4, delay_steps=5)
+        events = np.zeros((4, count), dtype=np.int64)
+        events[0], events[1], events[3] = 1, 20, 1
+        mask = _clean_hold_mask(events, np.ones((2, 60, 3), dtype=np.int8), cfg, 2)
+        expected = np.ones((2, 60), dtype=bool)
+        expected[1, 20:20 + 4 + 5 + 2 + 1] = False
+        npt.assert_array_equal(mask, expected)
 
     def test_peak_memory_one_chunk(self):
         # each worker runs its chunks through one [k + 2, ..., chunk] block

@@ -12,7 +12,9 @@ each round it prints one line:
 
     setup 3   rss 131.2  maxrss 135.9  arena 32.1  free 3.0  top 2.9
 
-in MB: the resident set size now, its peak so far (``ru_maxrss``), and from
+in MB: the resident set size now, its peak so far (``VmHWM``, read by
+``perfbench/reference.peak_rss_mb`` as the benchmark's ``peak_rss_mb`` is;
+``ru_maxrss`` would keep the peak of the image before ``exec``), and from
 glibc's ``mallinfo2`` the main heap's size (``arena``), its free bytes
 (``fordblks``) and the free chunk at its top (``keepcost``). A peak that
 moves between runs of the same code shows here as the round whose line
@@ -29,13 +31,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
-import resource  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MB = 1 << 20
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from reference import peak_rss_mb  # noqa: E402
 
 
 class Mallinfo2(ctypes.Structure):
@@ -60,14 +64,12 @@ def rss_mb() -> float:
 
 def report(label: str, info) -> str:
     heap = info()
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return (f"{label:<9} rss {rss_mb():6.1f}  maxrss {maxrss:6.1f}  "
+    return (f"{label:<9} rss {rss_mb():6.1f}  maxrss {peak_rss_mb():6.1f}  "
             f"arena {heap.arena / MB:6.1f}  free {heap.fordblks / MB:5.1f}  "
             f"top {heap.keepcost / MB:5.1f}")
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import harness
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
