@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .linalg import eigenvalues, pca_top_k
 from .model import ModelConfig, RnnParams, batch_forward
-from .task import Trial
+from .task import STATE_SIGNS, Trial, state_codes
 from .tensorio import write_file
 
 IDEAL_RATIOS = (1.0, np.sqrt(2.0), np.sqrt(3.0))
@@ -37,6 +36,7 @@ class Spectrum:
 @dataclass
 class ProjectionResult:
     points: np.ndarray                     # (t_steps - prefix) x 3
+    labels: np.ndarray                     # each point's state code (task.state_codes)
     explained_variance_ratio: np.ndarray   # 3
     components: np.ndarray                 # 3 x n_units
     start_step: int = 0                    # probe step of points[0]
@@ -94,88 +94,69 @@ def spectrum(w_rec: np.ndarray, eps_circle: float = 0.05) -> Spectrum:
     )
 
 
-def committed_mask(targets: np.ndarray) -> np.ndarray:
-    return np.all(np.abs(targets) == 1.0, axis=1)
-
-
-def settle_step(targets: np.ndarray) -> int:
-    """First step at which every channel holds a committed +-1 value; 0 if none."""
-    return int(np.argmax(committed_mask(targets)))
-
-
 def collect_and_project(params: RnnParams, model_cfg: ModelConfig,
                         probe: Trial) -> ProjectionResult:
-    """Run the probe, drop the settle-in prefix, project onto top-3 axes."""
+    """Run the probe, drop the steps before its first memory state, project
+    onto top-3 axes; each point is labelled with its state code."""
     h, _ = batch_forward(params, model_cfg, probe.inputs[None])
-    prefix = settle_step(probe.targets)
-    activity = h[0, prefix:]
-    components, projected, ratios = pca_top_k(activity, 3)
-    return ProjectionResult(points=projected, explained_variance_ratio=ratios,
-                            components=components, start_step=prefix)
+    codes = state_codes(probe.targets)
+    prefix = int(np.argmax(codes >= 0))
+    components, projected, ratios = pca_top_k(h[0, prefix:], 3)
+    return ProjectionResult(points=projected, labels=codes[prefix:],
+                            explained_variance_ratio=ratios, components=components,
+                            start_step=prefix)
 
 
-def _hold_mask(targets: np.ndarray, start_step: int, hold_margin: int) -> np.ndarray:
-    """Steps in a settled hold: committed on all channels, at least
-    hold_margin steps past the most recent target change, at/after start."""
-    mask = committed_mask(targets)
-    mask[:start_step] = False
-    changed = np.nonzero(np.any(targets[1:] != targets[:-1], axis=1))[0] + 1
-    for t_c in changed:   # the int64 t_c plus a huge margin would overflow
-        mask[t_c:t_c + min(hold_margin, len(mask))] = False
-    return mask
+def _hold_mask(codes: np.ndarray, hold_margin: int) -> np.ndarray:
+    """Steps in a settled hold: in a memory state (code >= 0) and at least
+    hold_margin steps (at most the trial's length) past the latest change of
+    code. A change between two steps in no state is not seen, but the change
+    into the next state excludes every step in a state that it would."""
+    steps = np.arange(len(codes))
+    changed = np.r_[False, codes[1:] != codes[:-1]]
+    last_change = np.maximum.accumulate(np.where(changed, steps, -len(codes)))
+    settled = steps - last_change >= min(hold_margin, len(codes))
+    return settled & (codes >= 0)
 
 
 def memory_states(projection: ProjectionResult, probe: Trial,
                   hold_margin: int = 10) -> CubeReport:
     """Centroid per memory state plus the cube-distance geometry.
 
-    Projected points are grouped by the probe target's sign triple over the
-    settled hold windows. The 28 pairwise centroid distances are sorted and
-    split by ideal-cube multiplicity into 12 edges, 12 face diagonals and 4
-    body diagonals. When fewer than 8 states appear the report only carries
-    the missing-state list: no groups, and NaN spread and separation ratio.
+    Projected points are grouped by the probe target's state code over the
+    settled hold windows, and the states listed in code order. The 28
+    pairwise centroid distances are sorted and split by ideal-cube
+    multiplicity into 12 edges, 12 face diagonals and 4 body diagonals.
+    When fewer than 8 states appear the report only carries the
+    missing-state list: no groups, and NaN spread and separation ratio.
     """
     if hold_margin < 0:
         raise ValueError(f"hold_margin must be >= 0, got {hold_margin}")
-    targets = probe.targets
-    mask = _hold_mask(targets, projection.start_step, hold_margin)
-
-    groups: dict = {}
-    for step in np.nonzero(mask)[0]:
-        idx = step - projection.start_step
-        if idx < 0 or idx >= len(projection.points):
-            continue
-        label = tuple(int(v) for v in targets[step])
-        groups.setdefault(label, []).append(projection.points[idx])
-
-    all_labels = sorted(product((-1, 1), repeat=3))
-    missing = [s for s in all_labels if s not in groups]
-    present = [s for s in all_labels if s in groups]
-    centroids = np.array([np.mean(groups[s], axis=0) for s in present]) \
-        if present else np.zeros((0, 3))
+    start = projection.start_step
+    codes = state_codes(probe.targets)
+    held = _hold_mask(codes, hold_margin)[start:]
+    codes, points = codes[start:][held], projection.points[held]
+    signs = [tuple(s) for s in STATE_SIGNS.tolist()]
+    groups = {s: points[codes == code] for code, s in enumerate(signs)}
+    groups = {s: group for s, group in groups.items() if len(group)}
+    labels, missing = list(groups), [s for s in signs if s not in groups]
+    centroids = np.array([group.mean(axis=0) for group in groups.values()]).reshape(-1, 3)
     if missing:
-        return CubeReport(state_labels=present, centroids=centroids,
+        return CubeReport(state_labels=labels, centroids=centroids,
                           missing_states=missing)
 
-    spreads = [
-        float(np.sqrt(np.mean(np.sum((np.asarray(groups[s]) - c) ** 2, axis=1))))
-        for s, c in zip(present, centroids)
-    ]
+    spreads = [float(np.sqrt(np.mean(np.sum((group - c) ** 2, axis=1))))
+               for group, c in zip(groups.values(), centroids)]
     within = float(np.mean(spreads))
-
-    dists = sorted(
-        float(np.linalg.norm(centroids[i] - centroids[j]))
-        for i in range(8) for j in range(i + 1, 8)
-    )
+    dists = sorted(float(np.linalg.norm(centroids[i] - centroids[j]))
+                   for i in range(8) for j in range(i + 1, 8))
     e, f = CUBE_GROUP_SIZES[0], CUBE_GROUP_SIZES[0] + CUBE_GROUP_SIZES[1]
-    edge_group = (e, float(np.mean(dists[:e])))
-    face_group = (CUBE_GROUP_SIZES[1], float(np.mean(dists[e:f])))
-    body_group = (CUBE_GROUP_SIZES[2], float(np.mean(dists[f:])))
     separation = dists[0] / within if within > 0 else float("inf")
-    return CubeReport(state_labels=present, centroids=centroids,
-                      edge_group=edge_group, face_group=face_group,
-                      body_group=body_group, within_state_spread=within,
-                      separation_ratio=float(separation))
+    return CubeReport(state_labels=labels, centroids=centroids,
+                      edge_group=(e, float(np.mean(dists[:e]))),
+                      face_group=(CUBE_GROUP_SIZES[1], float(np.mean(dists[e:f]))),
+                      body_group=(CUBE_GROUP_SIZES[2], float(np.mean(dists[f:]))),
+                      within_state_spread=within, separation_ratio=float(separation))
 
 
 def procrustes_align(a: np.ndarray, b: np.ndarray):
@@ -251,20 +232,13 @@ def write_spectrum_csv(path, spec: Spectrum) -> None:
                                        for lam in spec.eigenvalues])
 
 
-def state_label_int(target_row) -> int:
-    """Committed sign triple encoded as 0..7 (channel 0 = MSB); -1 otherwise."""
-    if not np.all(np.abs(target_row) == 1.0):
-        return -1
-    bits = [(1 if v > 0 else 0) for v in target_row]
-    return (bits[0] << 2) | (bits[1] << 1) | bits[2]
-
-
-def write_projection_csv(path, projection: ProjectionResult, probe: Trial) -> None:
+def write_projection_csv(path, projection: ProjectionResult) -> None:
+    """One row per point: its probe step, its coordinates and its state code."""
     start = projection.start_step
     _write_csv(path, [["step", "pc1", "pc2", "pc3", "state_label"]] + [
-        [start + i] + [F32_FMT % v for v in point]
-        + [state_label_int(probe.targets[start + i])]
-        for i, point in enumerate(projection.points)
+        [start + i] + [F32_FMT % v for v in point] + [label]
+        for i, (point, label) in enumerate(zip(projection.points,
+                                               projection.labels.tolist()))
     ])
 
 

@@ -25,7 +25,6 @@ from .analysis import (
     compare_realizations,
     memory_states,
     spectrum,
-    state_label_int,
     write_connectivity_csv,
     write_projection_csv,
     write_spectrum_csv,
@@ -120,10 +119,9 @@ def cmd_train(args) -> int:
         params, report = train(params, model_cfg, dataset, train_cfg,
                                eval_fraction=args.eval_fraction,
                                epoch_hook=epoch_hook)
-    except DivergenceError as exc:
-        if exc.params is not None:
-            metadata["diverged_at_epoch"] = exc.epoch
-            save_checkpoint(args.out, exc.params, model_cfg, metadata)
+    except DivergenceError as exc:   # exc.params: the last parameters measured good
+        metadata["diverged_at_epoch"] = exc.epoch
+        save_checkpoint(args.out, exc.params, model_cfg, metadata)
         print(f"training diverged in epoch {exc.epoch}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
@@ -184,17 +182,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_project(args) -> int:
     start = time.perf_counter()
-    projection, probe = _project_probe(args.checkpoint)
+    projection, _ = _project_probe(args.checkpoint)
     csv_path = os.path.join(args.out, "projection.csv")
-    write_projection_csv(csv_path, projection, probe)
+    write_projection_csv(csv_path, projection)
     outputs = [csv_path]
     if args.svg:
-        labels = [state_label_int(probe.targets[projection.start_step + i])
-                  for i in range(len(projection.points))]
         for axes, name in (((0, 1), "projection_pc1_pc2.svg"),
                            ((0, 2), "projection_pc1_pc3.svg")):
             svg_path = os.path.join(args.out, name)
-            write_projection_svg(svg_path, projection.points, labels, axes)
+            write_projection_svg(svg_path, projection.points, projection.labels, axes)
             outputs.append(svg_path)
     return _finish(args.out, "project", {}, {}, outputs, start, dump_json({
         "points": len(projection.points),

@@ -203,8 +203,14 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
 def save_checkpoint(out_dir, params: RnnParams, config: ModelConfig,
                     metadata: dict | None = None) -> list:
     """Write one tensor file per weight matrix (and per bias when the model
-    uses them) plus manifest.json; returns the tensor file paths."""
+    uses them) plus manifest.json; returns the tensor file paths. A value
+    that float32 cannot hold (NaN, infinite, or beyond its range) raises a
+    FloatingPointError before any file is written."""
     names = ("w_in", "w_rec", "w_out") + (("b_rec", "b_out") if config.use_bias else ())
+    for name in names:
+        with np.errstate(over="ignore"):   # the overflow to float32 is what is checked
+            if not np.isfinite(getattr(params, name).astype(np.float32)).all():
+                raise FloatingPointError(f"{name} holds a value that float32 cannot hold")
     paths = [os.path.join(out_dir, f"{name}.rnt") for name in names]
     for name, path in zip(names, paths):
         write_tensor(path, getattr(params, name))

@@ -37,8 +37,12 @@ PROBE_HOLD_MIN = 60
 _BLOCK_TRIALS = 64   # trials whose events are drawn in lockstep
 _LOW_HALF = 0xFFFFFFFF
 
-# state sequence for the probe: one channel flips per transition
-GRAY_ORDER = ("000", "001", "011", "010", "110", "111", "101", "100")
+# each memory state's sign triple, indexed by its code 0..7: channel 0 is the
+# most significant bit, 1 for +1 and 0 for -1
+_STATE_WEIGHTS = np.array([4, 2, 1])
+STATE_SIGNS = np.where(np.arange(8)[:, None] & _STATE_WEIGHTS, 1, -1)
+STATE_SIGNS.flags.writeable = False
+GRAY_ORDER = (0, 1, 3, 2, 6, 7, 5, 4)   # the probe's states, one bit flipped per transition
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,11 @@ def _draw_events(config: TaskConfig, halves: _Halves):
     return events[:, np.lexsort((channel, onset, trial))]
 
 
+def _event_array(triples) -> np.ndarray:
+    """The [4, E] int64 events of one trial's (onset, channel, sign) triples, as trial 0."""
+    return np.insert(np.array(triples, dtype=np.int64).reshape(-1, 3).T, 0, 0, axis=0)
+
+
 def _events_of(events: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The columns of trials lo <= trial < hi, renumbered from trial 0."""
     picked = events[:, (events[0] >= lo) & (events[0] < hi)]
@@ -226,6 +235,21 @@ def _write_targets(y, trial, onset, channel, sign, pulse_width: int, delay_steps
     np.cumsum(y, axis=1, dtype=y.dtype, out=y)
 
 
+def _committed(targets: np.ndarray) -> np.ndarray:
+    """Whether every channel (last axis) of ``targets`` is at +-1, through one
+    boolean temporary of their size: the comparisons are or-ed in place."""
+    held = targets == 1
+    held |= targets == -1
+    return held.all(axis=-1)
+
+
+def state_codes(targets: np.ndarray) -> np.ndarray:
+    """The memory state 0..7 (``STATE_SIGNS``) of each row of the
+    [..., 3] ``targets``, or -1 where any channel is not at +-1."""
+    targets = np.asarray(targets)
+    return np.where(_committed(targets), (targets > 0) @ _STATE_WEIGHTS, -1)
+
+
 def _clean_hold_mask(events: np.ndarray, y: np.ndarray, config, pad: int) -> np.ndarray:
     """[trials, t_steps] clean holds of ``y``: all channels at +-1 and no
     pulse of ``events`` (trials from y's first) in [onset, onset + pulse_width
@@ -233,10 +257,7 @@ def _clean_hold_mask(events: np.ndarray, y: np.ndarray, config, pad: int) -> np.
     onset and -1 past its window's end (at most t_steps), summed over steps
     in place. No count exceeds the number of events, so they are int16
     below 2**15 events and int32 from there."""
-    committed = y == 1
-    committed |= y == -1
-    mask = committed.all(axis=2)
-    del committed
+    mask = _committed(y)
     trial, onset, t_steps = events[0], events[1], y.shape[1]
     span = min(config.pulse_width + config.delay_steps + pad + 1, t_steps)   # no overflow
     count = np.int16 if events.shape[1] < 1 << 15 else np.int32
@@ -337,13 +358,12 @@ def generate_probe(config: TaskConfig) -> Trial:
     if spacing < max(PROBE_HOLD_MIN, config.pulse_width + 1):
         raise ValueError("probe schedule does not fit in 600 steps")
 
-    states = [tuple(2 * int(b) - 1 for b in code) for code in GRAY_ORDER]
-    events = [(0, ch, states[0][ch]) for ch in range(3)]
-    for k in range(1, 8):
-        flipped = next(c for c in range(3) if states[k][c] != states[k - 1][c])
-        events.append((k * spacing, flipped, states[k][flipped]))
+    states = STATE_SIGNS[list(GRAY_ORDER)].tolist()
+    events = [(0, ch, states[0][ch]) for ch in range(3)] + [
+        (k * spacing, ch, states[k][ch])
+        for k in range(1, 8) for ch in range(3) if states[k][ch] != states[k - 1][ch]]
     config = dataclasses.replace(config, t_steps=PROBE_STEPS, noise_std=0.0)
-    arrays = np.insert(np.array(events, dtype=np.int64).T, 0, 0, axis=0)   # trial 0
+    arrays = _event_array(events)
     x = np.zeros((1, PROBE_STEPS, 3))
     y = np.zeros_like(x)
     _add_pulses(x, *arrays, config.pulse_width, config.pulse_amp)

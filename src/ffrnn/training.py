@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import SeededRng
 from .model import (ModelConfig, RnnParams, _buffer, _forward_input,
                     _recurrence, _step_matrix, batch_forward)
-from .task import Dataset, Trial, _clean_hold_mask, _events_of
+from .task import Dataset, Trial, _clean_hold_mask, _event_array, _events_of
 
 # final learning rate of a run as a fraction of TrainConfig.learning_rate
 LR_FLOOR = 0.3
@@ -39,8 +39,8 @@ _GRAD_GROUP = 8
 class DivergenceError(RuntimeError):
     """Raised when training produces non-finite values.
 
-    ``params`` holds the last parameters known to be good (end of the
-    previous epoch, or the initial ones).
+    ``params`` holds the last parameters whose loss read finite: the initial
+    ones, or those that ended an epoch, measured on the next one's first batch.
     """
 
     def __init__(self, message, params=None, epoch=None):
@@ -483,7 +483,8 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     rounds to no trial, they score the training set, and ``held_out`` is 0.
     Update k of the run uses the learning rate
     ``train_cfg.learning_rate_at(k, total_updates)``. Every epoch is
-    shuffled by a stream derived from (seed, epoch).
+    shuffled by a stream derived from (seed, epoch). A non-finite loss, or a
+    non-finite MSE of the final metrics, raises a DivergenceError.
 
     Every batch's gradients come from one set of ``bptt_workspace``
     buffers, sized for the largest batch and freed before the held-out
@@ -509,7 +510,7 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
                           min(train_cfg.batch_size, n_train))
     state = init_adam_state(params)
     params = params.copy()
-    last_good = params.copy()
+    last_good = params
     losses = []
     start = time.perf_counter()
 
@@ -523,6 +524,8 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
                     params, model_cfg, dataset.x[idx], dataset.y[idx], work=work)
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), params=last_good, epoch=epoch) from None
+            if lo == 0:   # the parameters the epoch began with read a finite loss
+                last_good = params
             if train_cfg.grad_clip_norm is not None:
                 grads = clip_gradients(grads, train_cfg.grad_clip_norm)
             lr = train_cfg.learning_rate_at(state.t, total_updates)
@@ -531,7 +534,6 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
             count += len(idx)
         epoch_loss = total / count
         losses.append(epoch_loss)
-        last_good = params.copy()
         if epoch_hook is not None:
             epoch_hook(epoch, params, epoch_loss)
 
@@ -540,10 +542,12 @@ def train(params: RnnParams, model_cfg: ModelConfig, dataset: Dataset,
     eval_set = dataset if not n_eval else Dataset(
         dataset.x[n_train:], dataset.y[n_train:], dataset.config,
         _events_of(dataset.events, n_train, dataset.samples))
-    report = TrainReport(loss_per_epoch=losses, wall_time=wall,
-                         final_eval=evaluate(params, model_cfg, eval_set),
-                         held_out=n_eval)
-    return params, report
+    final_eval = evaluate(params, model_cfg, eval_set)
+    if not math.isfinite(final_eval.mse):
+        raise DivergenceError("non-finite mse in the final evaluation",
+                              params=last_good, epoch=max(train_cfg.epochs - 1, 0))
+    return params, TrainReport(loss_per_epoch=losses, wall_time=wall,
+                               final_eval=final_eval, held_out=n_eval)
 
 
 def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
@@ -581,8 +585,7 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     GEMMs do not depend on the worker count, so neither do the metrics.
     """
     if isinstance(data, Trial):
-        triples = np.array(data.events, dtype=np.int64).reshape(-1, 3).T
-        x, y, events = data.inputs[None], data.targets[None], np.insert(triples, 0, 0, axis=0)
+        x, y, events = data.inputs[None], data.targets[None], _event_array(data.events)
     else:
         x, y, events = data.x, data.y, data.events
     cfg = data.config

@@ -4,8 +4,11 @@ These deliberately avoid the production code paths (no slice assignment, no
 shared helpers) so comparisons stay meaningful.
 """
 
+from itertools import product
+
 import numpy as np
 
+from ffrnn.analysis import CUBE_GROUP_SIZES, CubeReport
 from ffrnn.linalg import SeededRng, derive_seed
 
 
@@ -86,6 +89,67 @@ def clean_hold_oracle(events, y, pulse_width, delay, pad):
                       for onset, _, _ in events)
         valid[t] = committed and not blocked
     return valid
+
+
+def state_label_int(target_row) -> int:
+    """Committed sign triple encoded as 0..7 (channel 0 = MSB); -1 otherwise."""
+    if not np.all(np.abs(target_row) == 1.0):
+        return -1
+    bits = [(1 if v > 0 else 0) for v in target_row]
+    return (bits[0] << 2) | (bits[1] << 1) | bits[2]
+
+
+def hold_mask_oracle(targets, start_step, hold_margin):
+    """Steps in a settled hold, from the targets: committed on all channels,
+    at/after start, and at least hold_margin steps past the most recent
+    change of any channel's target."""
+    mask = np.all(np.abs(targets) == 1.0, axis=1)
+    mask[:start_step] = False
+    changed = np.nonzero(np.any(targets[1:] != targets[:-1], axis=1))[0] + 1
+    for t_c in changed:   # the int64 t_c plus a huge margin would overflow
+        mask[t_c:t_c + min(hold_margin, len(mask))] = False
+    return mask
+
+
+def memory_states_oracle(projection, probe, hold_margin):
+    """``analysis.memory_states`` one hold step at a time: each step's point
+    appended to the list of its target's sign triple, then the centroids,
+    spreads and sorted centroid distances of the sorted triples."""
+    targets = probe.targets
+    mask = hold_mask_oracle(targets, projection.start_step, hold_margin)
+    groups = {}
+    for step in np.nonzero(mask)[0]:
+        idx = step - projection.start_step
+        if idx < 0 or idx >= len(projection.points):
+            continue
+        label = tuple(int(v) for v in targets[step])
+        groups.setdefault(label, []).append(projection.points[idx])
+
+    all_labels = sorted(product((-1, 1), repeat=3))
+    missing = [s for s in all_labels if s not in groups]
+    present = [s for s in all_labels if s in groups]
+    centroids = np.array([np.mean(groups[s], axis=0) for s in present]) \
+        if present else np.zeros((0, 3))
+    if missing:
+        return CubeReport(state_labels=present, centroids=centroids,
+                          missing_states=missing)
+    spreads = [
+        float(np.sqrt(np.mean(np.sum((np.asarray(groups[s]) - c) ** 2, axis=1))))
+        for s, c in zip(present, centroids)
+    ]
+    within = float(np.mean(spreads))
+    dists = sorted(
+        float(np.linalg.norm(centroids[i] - centroids[j]))
+        for i in range(8) for j in range(i + 1, 8)
+    )
+    e, f = CUBE_GROUP_SIZES[0], CUBE_GROUP_SIZES[0] + CUBE_GROUP_SIZES[1]
+    return CubeReport(state_labels=present, centroids=centroids,
+                      edge_group=(e, float(np.mean(dists[:e]))),
+                      face_group=(CUBE_GROUP_SIZES[1], float(np.mean(dists[e:f]))),
+                      body_group=(CUBE_GROUP_SIZES[2], float(np.mean(dists[f:]))),
+                      within_state_spread=within,
+                      separation_ratio=float(dists[0] / within if within > 0
+                                             else float("inf")))
 
 
 def split_events(events, trials):

@@ -7,25 +7,28 @@ from itertools import product
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ffrnn.analysis import (
     CubeReport,
     ProjectionResult,
+    _hold_mask,
     collect_and_project,
     compare_realizations,
     memory_states,
     procrustes_align,
-    settle_step,
     spectrum,
-    state_label_int,
     write_connectivity_csv,
     write_projection_csv,
     write_spectrum_csv,
 )
 from ffrnn.linalg import SeededRng, orthogonal_init
 from ffrnn.model import ModelConfig, RnnParams, init_params
-from ffrnn.task import TaskConfig, Trial, generate_probe
+from ffrnn.task import PROBE_HOLD_MIN, TaskConfig, Trial, generate_probe, state_codes
 from ffrnn.tensorio import dump_json
+from oracles import hold_mask_oracle, memory_states_oracle, state_label_int
 
 
 def cube_vertices():
@@ -50,7 +53,7 @@ def synthetic_projection_and_probe(rotate=None, scale=1.0, jitter=0.0,
         points[sl] = vertices[k] + jitter * rng.gen.normal(size=(hold, 3))
     probe = Trial(inputs=np.zeros((t_steps, 3)), targets=targets,
                   config=TaskConfig())
-    projection = ProjectionResult(points=points,
+    projection = ProjectionResult(points=points, labels=state_codes(targets),
                                   explained_variance_ratio=np.ones(3) / 3,
                                   components=np.eye(3), start_step=0)
     return projection, probe
@@ -100,8 +103,11 @@ class TestCollectAndProject:
         params = init_params(cfg, SeededRng(4))
         probe = generate_probe(TaskConfig())
         result = collect_and_project(params, cfg, probe)
-        assert result.start_step == settle_step(probe.targets)
+        # the first step at which every channel holds a committed +-1 value
+        assert result.start_step == np.argmax(np.all(np.abs(probe.targets) == 1, axis=1))
         assert len(result.points) == 600 - result.start_step
+        assert result.labels.tolist() == [state_label_int(row)
+                                          for row in probe.targets[result.start_step:]]
 
     def test_constructed_embedding_recovers_rank_three(self):
         # activity = cube vertices under an orthogonal embedding + noise;
@@ -167,6 +173,74 @@ class TestMemoryStates:
         report = memory_states(projection, probe, hold_margin=10)
         for label, centroid in zip(report.state_labels, report.centroids):
             npt.assert_allclose(centroid, label, atol=1e-9)
+
+
+# targets with committed, uncommitted and invalid entries, in runs of one row
+# so that holds, and changes between two uncommitted rows, both occur
+TARGET_ROWS = hnp.arrays(np.float64, 3, elements=st.sampled_from(
+    [-1.0, 0.0, 1.0, 0.5, -2.0, np.nan]))
+TARGETS = st.lists(st.tuples(TARGET_ROWS, st.integers(1, 12)), max_size=12).map(
+    lambda runs: np.array([row for row, n in runs for _ in range(n)]).reshape(-1, 3))
+
+
+class TestStateCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(targets=TARGETS)
+    def test_codes_match_row_by_row(self, targets):
+        codes = state_codes(targets)
+        assert codes.shape == targets.shape[:1]
+        assert codes.tolist() == [state_label_int(row) for row in targets]
+
+    @settings(max_examples=300, deadline=None)
+    @given(targets=TARGETS, margin=st.one_of(st.integers(0, 40), st.just(10 ** 20)))
+    def test_hold_mask_from_codes_matches_targets(self, targets, margin):
+        # codes miss a change between two uncommitted rows; the mask does not
+        npt.assert_array_equal(_hold_mask(state_codes(targets), margin),
+                               hold_mask_oracle(targets, 0, margin))
+
+
+class TestMemoryStatesOracle:
+    """``memory_states`` against the step-by-step grouping, bit for bit."""
+
+    @staticmethod
+    def assert_same(projection, probe, margin):
+        got = memory_states(projection, probe, hold_margin=margin)
+        want = memory_states_oracle(projection, probe, margin)
+        assert got.state_labels == want.state_labels
+        assert got.missing_states == want.missing_states
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert dump_json(got.to_dict()) == dump_json(want.to_dict())
+        return got
+
+    @pytest.mark.parametrize("seed", [600, 601, 602])
+    @pytest.mark.parametrize("margin", [0, 10, PROBE_HOLD_MIN, 200])
+    def test_untrained_networks_on_the_probe(self, seed, margin):
+        cfg = ModelConfig(n_units=128)
+        probe = generate_probe(TaskConfig())
+        projection = collect_and_project(init_params(cfg, SeededRng(seed)), cfg, probe)
+        report = self.assert_same(projection, probe, margin)
+        assert report.complete == (margin <= PROBE_HOLD_MIN)
+
+    @pytest.mark.parametrize("erase, missing", [
+        ([], 0), ([(0, 1)], 4), ([(0, 1), (2, -1)], 6), ([(1, 1), (1, -1)], 8)])
+    def test_hand_made_probes_with_missing_states(self, erase, missing):
+        projection, probe = synthetic_projection_and_probe(jitter=0.1, hold=12)
+        for channel, sign in erase:   # uncommit every row with that sign
+            probe.targets[probe.targets[:, channel] == sign] = 0
+        report = self.assert_same(projection, probe, 3)
+        assert len(report.missing_states) == missing
+
+    @settings(max_examples=100, deadline=None)
+    @given(targets=TARGETS, margin=st.integers(0, 15))
+    def test_drawn_targets(self, targets, margin):
+        assume(len(targets))
+        probe = Trial(inputs=np.zeros(targets.shape), targets=targets, config=TaskConfig())
+        prefix = int(np.argmax(state_codes(targets) >= 0))
+        points = SeededRng(len(targets)).gen.normal(size=(len(targets) - prefix, 3))
+        projection = ProjectionResult(points=points, labels=state_codes(targets)[prefix:],
+                                      explained_variance_ratio=np.ones(3) / 3,
+                                      components=np.eye(3), start_step=prefix)
+        self.assert_same(projection, probe, margin)
 
 
 def read_csv_matrix(path):
@@ -267,16 +341,16 @@ class TestCsvOutputs:
     def test_projection_csv(self, tmp_path):
         projection, probe = synthetic_projection_and_probe(hold=10)
         path = tmp_path / "projection.csv"
-        write_projection_csv(path, projection, probe)
+        write_projection_csv(path, projection)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "step,pc1,pc2,pc3,state_label"
         assert len(rows) == 81
-        first = rows[1].split(",")
-        assert first[0] == "0"
-        assert int(first[4]) == state_label_int(probe.targets[0])
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(80))
+        assert [int(r.split(",")[4]) for r in rows[1:]] == [
+            state_label_int(row) for row in probe.targets]
 
     def test_state_label_encoding(self):
-        assert state_label_int(np.array([-1.0, -1.0, -1.0])) == 0
-        assert state_label_int(np.array([1.0, 1.0, 1.0])) == 7
-        assert state_label_int(np.array([1.0, -1.0, 1.0])) == 5
-        assert state_label_int(np.array([0.0, 1.0, 1.0])) == -1
+        # channel 0 is the most significant bit; -1 where a channel is uncommitted
+        rows = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                         [0.0, 1.0, 1.0]])
+        assert state_codes(rows).tolist() == [0, 7, 5, -1]

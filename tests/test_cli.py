@@ -219,6 +219,33 @@ class TestTrain:
         assert manifest["diverged_at_epoch"] == 0
         assert np.isfinite(params.w_rec).all()
 
+    @pytest.mark.parametrize("epochs, every", [(1, 0), (2, 0), (2, 1)])
+    def test_runaway_rate_exits_3_with_no_nonfinite_checkpoint(self, tmp_path, capsys,
+                                                               epochs, every):
+        # at rate 1e300 the weights after the first update overflow float32:
+        # the loss of those weights is measured by the next epoch's first
+        # batch, or after the last epoch by the held-out evaluation
+        cfg = TaskConfig(t_steps=60, delay_steps=5, pulse_width=4,
+                         min_gap=8, max_gap=20, seed=5)
+        save_dataset(generate_dataset(cfg, 24), tmp_path / "data")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--data", tmp_path / "data", "--units", 4,
+                           "--epochs", epochs, "--lr", "1e300",
+                           "--checkpoint-every", every, "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert not (out / "epoch_0000" / "manifest.json").exists()
+        if every:   # the epoch checkpoint of the runaway weights is refused
+            assert "numerical failure: w_in holds a value that float32 cannot hold" in err
+            assert not (out / "manifest.json").exists()
+            return
+        assert f"training diverged in epoch {epochs - 1}: non-finite" in err
+        params, _, manifest = load_checkpoint(out)
+        assert manifest["diverged_at_epoch"] == epochs - 1
+        for value in params.as_dict().values():
+            assert np.isfinite(value).all()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("value", [np.nan, 0.5, 2.0])
     def test_target_outside_the_states_exits_2(self, tmp_path, capsys, small_data,
@@ -843,6 +870,46 @@ def test_fuzzed_project_task_section_exits_0_or_2(project_root, changed, dropped
     if code == 0:
         rows = (out / "projection.csv").read_text().strip().splitlines()
         assert len(rows) == json.loads(stdout)["points"] + 1
+
+
+@pytest.fixture(scope="module")
+def cube_root(tmp_path_factory):
+    """Two 3-unit checkpoints ``a`` and ``b`` with the default task, and
+    their manifests."""
+    root = tmp_path_factory.mktemp("fuzz_cube")
+    cfg = ModelConfig(n_units=3)
+    for seed, name in ((5, "a"), (6, "b")):
+        save_checkpoint(root / name, init_params(cfg, SeededRng(seed)), cfg,
+                        {"task": dataclasses.asdict(TaskConfig())})
+    return root, json.loads((root / "a" / "manifest.json").read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(changed=st.lists(st.dictionaries(TASK_KEYS, TASK_VALUES, max_size=3),
+                        min_size=2, max_size=2),
+       dropped=st.sets(TASK_KEYS, max_size=2), margin=st.integers(0, 80))
+def test_fuzzed_cube_and_compare_task_section_exit_0_or_2(cube_root, changed, dropped,
+                                                          margin):
+    # each checkpoint's probe comes from its own manifest's task section; a
+    # section that TaskConfig or the probe's schedule refuses exits 2, and so
+    # does a compare of a report with missing states
+    root, manifest = cube_root
+    for name, change in zip("ab", changed):
+        task = {k: v for k, v in manifest["task"].items() if k not in dropped} | change
+        (root / name / "manifest.json").write_text(json.dumps(manifest | {"task": task}))
+    codes = []
+    for args in (("cube", "--checkpoint", root / "a"),
+                 ("compare", "--checkpoints", root / "a", root / "b")):
+        code, _, stderr = captured_cli(*args, f"--margin={margin}", "--out", root / "out")
+        event(f"{args[0]} exit {code}")
+        assert "Traceback" not in stderr
+        assert code in (0, 2), stderr
+        codes.append(code)
+    if codes[0] == 0:
+        report = json.loads((root / "out" / "cube_report.json").read_text())
+        assert len(report["state_labels"]) + len(report["missing_states"]) == 8
+    if codes[1] == 0:   # both reports complete, so the cube of a is too
+        assert codes[0] == 0 and not report["missing_states"]
 
 
 def write_latch_checkpoint(out_dir, task_cfg):

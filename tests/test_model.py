@@ -227,6 +227,24 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "manifest.json", "w_in.rnt", "w_out.rnt", "w_rec.rnt"]
 
+    @pytest.mark.parametrize("name", ["w_in", "w_rec", "w_out", "b_out"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -3.5e38])
+    def test_value_beyond_float32_refused_before_writing(self, tmp_path, name, value):
+        cfg = ModelConfig(n_units=4, use_bias=True)
+        params = init_params(cfg, SeededRng(25))
+        getattr(params, name).flat[-1] = value
+        with pytest.raises(FloatingPointError, match=name):
+            save_checkpoint(tmp_path / "ckpt", params, cfg)
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_largest_float32_values_kept(self, tmp_path):
+        # 3.4028235e38 and values that round to it stay finite in float32
+        params, cfg = small_params(seed=25)
+        params.w_rec[0, :2] = 3.4028235e38, -3.40282356e38
+        save_checkpoint(tmp_path, params, cfg)
+        w_rec = load_checkpoint(tmp_path)[0].w_rec
+        assert w_rec[0, :2].tolist() == [3.4028234663852886e38, -3.4028234663852886e38]
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path)

@@ -183,6 +183,14 @@ class TestProbe:
         states = {tuple(map(int, row)) for row in committed}
         assert len(states) == 8
 
+    def test_visits_the_states_in_gray_order(self):
+        codes = task.state_codes(generate_probe(TaskConfig()).targets)
+        visited = codes[np.r_[True, codes[1:] != codes[:-1]]]
+        assert visited.tolist() == [-1, *task.GRAY_ORDER]
+        # each state's sign triple reads back as its code
+        assert task.state_codes(task.STATE_SIGNS).tolist() == list(range(8))
+        assert task.STATE_SIGNS[task.GRAY_ORDER[-1]].tolist() == [1, -1, -1]
+
     def test_one_channel_flips_per_transition(self):
         probe = generate_probe(TaskConfig())
         t = probe.targets

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from ffrnn import training
 from ffrnn.linalg import SeededRng
 from ffrnn.model import ModelConfig, RnnParams, batch_forward, init_params
-from ffrnn.task import (Dataset, TaskConfig, Trial, _clean_hold_mask, generate_dataset,
-                        generate_trial, trial_rng)
+from ffrnn.task import (Dataset, TaskConfig, Trial, _clean_hold_mask, _events_of,
+                        generate_dataset, generate_trial, trial_rng)
 from ffrnn.training import (
     BETA1,
     BETA2,
@@ -760,6 +760,40 @@ class TestTrain:
         assert info.value.params is not None
         npt.assert_array_equal(info.value.params.w_rec, params.w_rec)
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_divergence_keeps_only_measured_parameters(self, epochs):
+        # a rate of 1e300 sends every weight near 1e300 in the first update:
+        # the loss of those weights is measured only on the next epoch's
+        # first batch or, after the last epoch, by the final evaluation
+        ds = tiny_dataset()
+        mcfg = ModelConfig(n_units=4)
+        params = init_params(mcfg, SeededRng(22))
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+            train(params, mcfg, ds,
+                  TrainConfig(epochs=epochs, batch_size=16, learning_rate=1e300, seed=23))
+        assert info.value.epoch == epochs - 1
+        assert str(info.value).startswith("non-finite mse in the final evaluation"
+                                          if epochs == 1 else "non-finite")
+        for k, v in params.as_dict().items():
+            npt.assert_array_equal(info.value.params.as_dict()[k], v)
+
+    def test_divergence_keeps_the_last_measured_epoch(self):
+        # the first batch of epoch 2 measures the parameters that ended
+        # epoch 1; those of epoch 2's end are measured by no one
+        tiny = tiny_dataset()
+        ds = Dataset(tiny.x, tiny.y.astype(float), tiny.config, tiny.events)
+        mcfg = ModelConfig(n_units=4)
+        params = init_params(mcfg, SeededRng(22))
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=23)
+        ends = []
+        train(params, mcfg, ds, cfg, epoch_hook=lambda e, p, l: ends.append(p))
+        ds.y[-1, 0, 0] = np.nan   # only the final evaluation sees it
+        with pytest.raises(DivergenceError, match="final evaluation") as info:
+            train(params, mcfg, ds, cfg)
+        assert info.value.epoch == 2
+        for k, v in ends[1].as_dict().items():
+            npt.assert_array_equal(info.value.params.as_dict()[k], v)
+
     def test_epoch_hook_called(self):
         ds = tiny_dataset()
         mcfg = ModelConfig(n_units=4)
@@ -890,6 +924,19 @@ class TestEvaluate:
         trial = Trial(ds.x[0], ds.y[0], events=split_events(ds.events, 1)[0], config=cfg)
         metrics = evaluate(latch_params(), ModelConfig(n_units=3), trial)
         assert metrics.state_accuracy == 1.0
+
+    @pytest.mark.parametrize("pad", [0, 10, 40])
+    def test_trial_scores_as_its_one_trial_dataset(self, pad):
+        cfg = TaskConfig(seed=34)
+        trial = generate_trial(cfg, trial_rng(cfg, 7))
+        one = generate_dataset(cfg, 8)
+        one = Dataset(one.x[7:], one.y[7:], cfg, _events_of(one.events, 7, 8))
+        npt.assert_array_equal(one.x[0], trial.inputs)
+        mcfg = ModelConfig(n_units=16)
+        params = init_params(mcfg, SeededRng(35))
+        # NaN accuracy, with no clean hold, at the widest pad
+        npt.assert_equal(dataclasses.astuple(evaluate(params, mcfg, trial, transition_pad=pad)),
+                         dataclasses.astuple(evaluate(params, mcfg, one, transition_pad=pad)))
 
     @pytest.mark.parametrize("noise", [0.05, 0.2, 0.3])
     def test_mask_matches_per_pulse_loop(self, noise):
