@@ -112,8 +112,12 @@ def cmd_train(args) -> int:
         history.append(f"{epoch},{epoch_loss!r}\n")
         write_file(history_path, "".join(history))
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
-            save_checkpoint(os.path.join(args.out, f"epoch_{epoch:04d}"),
-                            epoch_params, model_cfg, metadata)
+            try:
+                save_checkpoint(os.path.join(args.out, f"epoch_{epoch:04d}"),
+                                epoch_params, model_cfg, metadata)
+            except FloatingPointError as exc:
+                # runaway weights: the end of the run decides what is written
+                print(f"epoch {epoch}: checkpoint skipped: {exc}", file=sys.stderr)
 
     try:
         params, report = train(params, model_cfg, dataset, train_cfg,
@@ -249,7 +253,11 @@ def build_parser(defaults=None):
     flag dest -> argparse Action); ``defaults`` (flag dest -> value)
     override the defaults of every subcommand."""
     defaults = defaults or {}
-    actions = {}
+    parsers, actions = {}, {}
+
+    def command(name, **kwargs):
+        parsers[name] = sub.add_parser(name, **kwargs)
+        return parsers[name]
 
     def flag(p, *names, **kwargs):
         action = p.add_argument(*names, **kwargs)
@@ -263,7 +271,7 @@ def build_parser(defaults=None):
                         help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a flip-flop dataset")
+    p = command("gen", help="generate a flip-flop dataset")
     flag(p, "--samples", type=int, default=1000)
     flag(p, "--steps", type=int, default=300)
     flag(p, "--bits", type=int, default=3)
@@ -277,7 +285,7 @@ def build_parser(defaults=None):
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_gen, **defaults)
 
-    p = sub.add_parser("train", help="train a network on a dataset")
+    p = command("train", help="train a network on a dataset")
     flag(p, "--data", required=True)
     flag(p, "--units", type=int, default=400)
     flag(p, "--epochs", type=int, default=20)
@@ -294,39 +302,39 @@ def build_parser(defaults=None):
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_train, **defaults)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p = command("eval", help="evaluate a checkpoint")
     flag(p, "--checkpoint", required=True)
     flag(p, "--data", default=None)
     flag(p, "--pad", type=int, default=10)
     flag(p, "--out", default=None)
     p.set_defaults(func=cmd_eval, **defaults)
 
-    p = sub.add_parser("spectrum", help="eigenspectrum of the recurrent matrix")
+    p = command("spectrum", help="eigenspectrum of the recurrent matrix")
     flag(p, "--checkpoint", required=True)
     flag(p, "--eps", type=float, default=0.05)
     flag(p, "--svg", action="store_true")
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_spectrum, **defaults)
 
-    p = sub.add_parser("project", help="project probe activity onto top-3 axes")
+    p = command("project", help="project probe activity onto top-3 axes")
     flag(p, "--checkpoint", required=True)
     flag(p, "--svg", action="store_true")
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_project, **defaults)
 
-    p = sub.add_parser("cube", help="memory-state cube geometry report")
+    p = command("cube", help="memory-state cube geometry report")
     flag(p, "--checkpoint", required=True)
     flag(p, "--margin", type=int, default=10)
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_cube, **defaults)
 
-    p = sub.add_parser("compare", help="compare cube reports across checkpoints")
+    p = command("compare", help="compare cube reports across checkpoints")
     flag(p, "--checkpoints", nargs="+", required=True)
     flag(p, "--margin", type=int, default=10)
     flag(p, "--out", required=True)
     p.set_defaults(func=cmd_compare, **defaults)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p = command("gradcheck", help="finite-difference gradient check")
     flag(p, "--units", type=int, default=8)
     flag(p, "--steps", type=int, default=10)
     flag(p, "--trials", type=int, default=20)
@@ -334,7 +342,7 @@ def build_parser(defaults=None):
     flag(p, "--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck, **defaults)
 
-    return parser, {name: actions[p] for name, p in sub.choices.items()}
+    return parser, {name: actions[p] for name, p in parsers.items()}
 
 
 def _config_defaults(path, command, flags) -> dict:

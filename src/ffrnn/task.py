@@ -373,9 +373,16 @@ def generate_probe(config: TaskConfig) -> Trial:
 
 def save_dataset(dataset: Dataset, out_dir) -> list:
     """Write x.rnt, y.rnt and config.json; returns the file paths. The [4, E]
-    events are not written: ``load_dataset`` regenerates them."""
+    events are not written: ``load_dataset`` regenerates them. An input that
+    float32 cannot hold raises a ValueError before any file is written."""
     paths = [os.path.join(out_dir, name) for name in ("x.rnt", "y.rnt", "config.json")]
-    write_tensor(paths[0], dataset.x)
+    with np.errstate(over="ignore"):   # the overflow to float32 is what is checked
+        x = dataset.x.astype(np.float32)   # write_tensor's own cast, done once
+    if not np.isfinite(x).all():
+        raise ValueError(f"{paths[0]}: an input that float32 cannot hold; "
+                         "the pulse amplitude or noise is too large")
+    write_tensor(paths[0], x)
+    del x   # not kept while y is written
     write_tensor(paths[1], dataset.y)
     write_json(paths[2], dataclasses.asdict(dataset.config))
     return paths

@@ -105,12 +105,13 @@ def write_tensor(path, array) -> None:
     """Write ``array`` as a tensor file. An array whose dtype float32 holds
     exactly (int8 targets, say) is cast straight to float32, with no
     float64 copy; anything else goes through float64 first, so that it is
-    rounded once, from float64, whatever its dtype."""
+    rounded once, from float64, whatever its dtype. A row-major float32
+    array is written as it is, with no copy but the file's bytes."""
     arr = np.asarray(array)
     if not np.can_cast(arr.dtype, np.float32):
         arr = arr.astype(np.float64, copy=False)
     header = MAGIC + struct.pack(f"<{2 + arr.ndim}I", VERSION, arr.ndim, *arr.shape)
-    write_file(path, header + arr.astype("<f4").tobytes())   # row-major
+    write_file(path, header + np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def read_tensor(path, dtype=np.float64) -> np.ndarray:

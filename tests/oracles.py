@@ -1,4 +1,7 @@
-"""Independent reference implementations used by multiple test modules.
+"""Independent reference implementations used by multiple test modules,
+for what ``perfbench/reference.py`` does not hold: BPTT gradients, the cube
+report's grouping, state labels and the dataset stream one trial at a time.
+Targets, forward steps and masks come from ``reference``.
 
 These deliberately avoid the production code paths (no slice assignment, no
 shared helpers) so comparisons stay meaningful.
@@ -10,34 +13,12 @@ import numpy as np
 
 from ffrnn.analysis import CUBE_GROUP_SIZES, CubeReport
 from ffrnn.linalg import SeededRng, derive_seed
+from reference import hold_mask, replay_targets
 
 
 def replay_oracle(events, t_steps, delay_steps, n_bits, pulse_width):
-    """Walk time forward step by step, applying scheduled state flips."""
-    pending = {}
-    for onset, channel, sign in events:
-        pending.setdefault(onset + pulse_width + delay_steps, []).append(
-            (channel, sign))
-    state = [0.0] * n_bits
-    rows = []
-    for t in range(t_steps):
-        for channel, sign in pending.get(t, []):
-            state[channel] = float(sign)
-        rows.append(list(state))
-    return np.array(rows)
-
-
-def step(params, config, h, x):
-    """Single Euler update of the hidden state from matrix-vector products."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if h.shape != (config.n_units,):
-        raise ValueError(f"state has shape {h.shape}, expected ({config.n_units},)")
-    if x.shape != (config.n_in,):
-        raise ValueError(f"input has shape {x.shape}, expected ({config.n_in},)")
-    a = params.w_rec @ h + params.w_in @ x + params.b_rec
-    alpha = config.dt / config.tau
-    return (1.0 - alpha) * h + alpha * np.tanh(a)
+    """``reference.replay_targets`` in the argument order of the tests."""
+    return replay_targets(events, t_steps, n_bits, pulse_width, delay_steps)
 
 
 def bptt_oracle(params, config, x, y):
@@ -77,20 +58,6 @@ def bptt_oracle(params, config, x, y):
     return g, total / (batch * t_steps * n_out)
 
 
-def clean_hold_oracle(events, y, pulse_width, delay, pad):
-    """Clean-hold steps of one [t_steps, channels] trial, step by step: every
-    channel committed to +-1 and no pulse with
-    onset <= step <= onset + pulse_width + delay + pad."""
-    t_steps = y.shape[0]
-    valid = np.zeros(t_steps, dtype=bool)
-    for t in range(t_steps):
-        committed = all(abs(v) == 1.0 for v in y[t])
-        blocked = any(onset <= t <= onset + pulse_width + delay + pad
-                      for onset, _, _ in events)
-        valid[t] = committed and not blocked
-    return valid
-
-
 def state_label_int(target_row) -> int:
     """Committed sign triple encoded as 0..7 (channel 0 = MSB); -1 otherwise."""
     if not np.all(np.abs(target_row) == 1.0):
@@ -99,24 +66,12 @@ def state_label_int(target_row) -> int:
     return (bits[0] << 2) | (bits[1] << 1) | bits[2]
 
 
-def hold_mask_oracle(targets, start_step, hold_margin):
-    """Steps in a settled hold, from the targets: committed on all channels,
-    at/after start, and at least hold_margin steps past the most recent
-    change of any channel's target."""
-    mask = np.all(np.abs(targets) == 1.0, axis=1)
-    mask[:start_step] = False
-    changed = np.nonzero(np.any(targets[1:] != targets[:-1], axis=1))[0] + 1
-    for t_c in changed:   # the int64 t_c plus a huge margin would overflow
-        mask[t_c:t_c + min(hold_margin, len(mask))] = False
-    return mask
-
-
 def memory_states_oracle(projection, probe, hold_margin):
     """``analysis.memory_states`` one hold step at a time: each step's point
     appended to the list of its target's sign triple, then the centroids,
     spreads and sorted centroid distances of the sorted triples."""
     targets = probe.targets
-    mask = hold_mask_oracle(targets, projection.start_step, hold_margin)
+    mask = hold_mask(targets, projection.start_step, hold_margin)
     groups = {}
     for step in np.nonzero(mask)[0]:
         idx = step - projection.start_step
@@ -189,8 +144,8 @@ def build_trial(config, rng):
     for onset, channel, sign in events:
         for step in range(onset, onset + config.pulse_width):
             inputs[step, channel] = sign * config.pulse_amp
-    targets = replay_oracle(events, config.t_steps, config.delay_steps,
-                            config.n_bits, config.pulse_width)
+    targets = replay_targets(events, config.t_steps, config.n_bits,
+                             config.pulse_width, config.delay_steps)
     if config.noise_std > 0:
         inputs += rng.gen.normal(0.0, config.noise_std, inputs.shape)
     return inputs, targets, events

@@ -28,7 +28,8 @@ from ffrnn.linalg import SeededRng, orthogonal_init
 from ffrnn.model import ModelConfig, RnnParams, init_params
 from ffrnn.task import PROBE_HOLD_MIN, TaskConfig, Trial, generate_probe, state_codes
 from ffrnn.tensorio import dump_json
-from oracles import hold_mask_oracle, memory_states_oracle, state_label_int
+from oracles import memory_states_oracle, state_label_int
+from reference import hold_mask
 
 
 def cube_vertices():
@@ -196,7 +197,7 @@ class TestStateCodes:
     def test_hold_mask_from_codes_matches_targets(self, targets, margin):
         # codes miss a change between two uncommitted rows; the mask does not
         npt.assert_array_equal(_hold_mask(state_codes(targets), margin),
-                               hold_mask_oracle(targets, 0, margin))
+                               hold_mask(targets, 0, margin))
 
 
 class TestMemoryStatesOracle:

@@ -204,10 +204,12 @@ class TestTrain:
     def test_divergent_data_exits_3(self, tmp_path, capsys):
         cfg = TaskConfig(t_steps=60, delay_steps=5, pulse_width=4,
                          min_gap=8, max_gap=20, seed=5)
-        ds = generate_dataset(cfg, 8)
-        ds.x[:, 30, 0] = np.nan   # a NaN target is refused on load, with exit 2
         data_dir = tmp_path / "nan_data"
-        save_dataset(ds, data_dir)
+        save_dataset(generate_dataset(cfg, 8), data_dir)
+        # save_dataset refuses a NaN input, and load_dataset a NaN target
+        x = read_tensor(data_dir / "x.rnt")
+        x[:, 30, 0] = np.nan
+        write_tensor(data_dir / "x.rnt", x)
         out = tmp_path / "out"
         code = run_cli("train", "--data", data_dir, "--units", 8,
                        "--epochs", 1, "--batch", 4, "--out", out)
@@ -236,10 +238,8 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err
         assert not (out / "epoch_0000" / "manifest.json").exists()
-        if every:   # the epoch checkpoint of the runaway weights is refused
-            assert "numerical failure: w_in holds a value that float32 cannot hold" in err
-            assert not (out / "manifest.json").exists()
-            return
+        if every:   # the epoch checkpoint of the runaway weights is skipped
+            assert "epoch 0: checkpoint skipped: w_in holds a value that float32" in err
         assert f"training diverged in epoch {epochs - 1}: non-finite" in err
         params, _, manifest = load_checkpoint(out)
         assert manifest["diverged_at_epoch"] == epochs - 1
@@ -477,6 +477,10 @@ def config_holding_a_list(tmp_path, _data):
                  "noise_std", id="nan-noise"),
     pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", pulse_amp="inf"),
                  "pulse_amp", id="infinite-pulse-amp"),
+    pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", pulse_amp="1e300"),
+                 "x.rnt: an input that float32 cannot hold", id="pulse-amp-beyond-float32"),
+    pytest.param(lambda tmp_path, _data: gen_args(tmp_path / "d", noise="1e39"),
+                 "x.rnt: an input that float32 cannot hold", id="noise-beyond-float32"),
     pytest.param(lambda tmp_path, data: ["train", "--data", data, "--units", 4,
                                          "--lr", "nan", "--out", tmp_path / "t"],
                  "learning_rate", id="nan-learning-rate"),

@@ -13,7 +13,7 @@ from ffrnn.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from oracles import step
+from reference import forward_steps
 
 
 def small_params(n_units=6, n_in=3, n_out=3, seed=0):
@@ -59,50 +59,37 @@ class TestInitParams:
 
 
 class TestStep:
+    """The model equation h(t+1) = (1 - alpha) h(t) + alpha tanh(a(t)),
+    through ``batch_forward`` from h = 0."""
+
     def test_origin_is_fixed_point(self):
         params, cfg = small_params()
-        h = step(params, cfg, np.zeros(6), np.zeros(3))
-        npt.assert_array_equal(h, np.zeros(6))
+        h, _ = batch_forward(params, cfg, np.zeros((1, 5, 3)))
+        npt.assert_array_equal(h, 0.0)
 
     def test_scalar_closed_form(self):
         cfg = ModelConfig(n_units=1, n_in=1, n_out=1)
         params = RnnParams(w_in=np.array([[1.0]]), w_rec=np.array([[0.0]]),
                            w_out=np.array([[1.0]]), b_rec=np.zeros(1),
                            b_out=np.zeros(1))
-        h = step(params, cfg, np.zeros(1), np.array([0.5]))
-        npt.assert_allclose(h, [np.tanh(0.5)], rtol=1e-12)
-        assert abs(h[0] - 0.462117) < 1e-6
+        h, _ = batch_forward(params, cfg, np.array([[[0.5]]]))
+        npt.assert_allclose(h[0, 0], [np.tanh(0.5)], rtol=1e-12)
+        assert abs(h[0, 0, 0] - 0.462117) < 1e-6
 
     def test_leak_only_euler_step(self):
+        # h1 = 0.5 tanh(0.5), then h2 = 0.5 h1 + 0.5 tanh(0)
         cfg = ModelConfig(n_units=1, n_in=1, n_out=1, dt=0.5, tau=1.0)
-        params = RnnParams(w_in=np.zeros((1, 1)), w_rec=np.zeros((1, 1)),
+        params = RnnParams(w_in=np.ones((1, 1)), w_rec=np.zeros((1, 1)),
                            w_out=np.ones((1, 1)), b_rec=np.zeros(1),
                            b_out=np.zeros(1))
-        h = step(params, cfg, np.array([0.8]), np.zeros(1))
-        npt.assert_allclose(h, [0.4], rtol=1e-15)
-
-    def test_reduces_to_plain_tanh_update(self):
-        params, cfg = small_params(seed=5)
-        rng = SeededRng(6)
-        h = rng.gen.normal(size=6) * 0.5
-        x = rng.gen.normal(size=3)
-        expected = np.tanh(params.w_rec @ h + params.w_in @ x)
-        npt.assert_array_equal(step(params, cfg, h, x), expected)
-
-    def test_shape_mismatch_rejected(self):
-        params, cfg = small_params()
-        with pytest.raises(ValueError):
-            step(params, cfg, np.zeros(5), np.zeros(3))
-        with pytest.raises(ValueError):
-            step(params, cfg, np.zeros(6), np.zeros(2))
+        h, _ = batch_forward(params, cfg, np.array([[[0.5], [0.0]]]))
+        npt.assert_allclose(h[0, :, 0], [0.5 * np.tanh(0.5), 0.25 * np.tanh(0.5)],
+                            rtol=1e-15)
 
     def test_state_stays_bounded(self):
         params, cfg = small_params(seed=7)
-        rng = SeededRng(8)
-        h = np.zeros(6)
-        for _ in range(200):
-            h = step(params, cfg, h, rng.gen.uniform(-2, 2, 3))
-            assert np.all(np.abs(h) < 1.0)
+        h, _ = batch_forward(params, cfg, SeededRng(8).gen.uniform(-2, 2, (1, 200, 3)))
+        assert np.all(np.abs(h) < 1.0)
 
 
 class TestForward:
@@ -127,12 +114,11 @@ class TestForward:
 
     def test_matches_step_sequence(self):
         params, cfg = small_params(seed=11)
-        inputs = SeededRng(12).gen.normal(size=(10, 3))
-        h, _ = batch_forward(params, cfg, inputs[None])
-        state = np.zeros(6)
-        for t in range(10):
-            state = step(params, cfg, state, inputs[t])
-            npt.assert_allclose(h[0, t], state, atol=1e-12)
+        inputs = SeededRng(12).gen.normal(size=(1, 10, 3))
+        h, _ = batch_forward(params, cfg, inputs)
+        states, _ = forward_steps(**params.as_dict(), alpha=cfg.alpha, x=inputs,
+                                  keep_states=True)
+        npt.assert_allclose(h, states, atol=1e-12)
 
     def test_readout_linear_in_state(self):
         params, cfg = small_params(seed=13)
@@ -149,12 +135,10 @@ class TestBatchForward:
         params = init_params(cfg, SeededRng(24))
         x = SeededRng(25).gen.normal(size=(3, 9, 3))
         h, z = batch_forward(params, cfg, x)
-        for b in range(3):
-            state = np.zeros(6)
-            for t in range(9):
-                state = step(params, cfg, state, x[b, t])
-                npt.assert_allclose(h[b, t], state, rtol=0, atol=1e-12)
-                npt.assert_allclose(z[b, t], params.w_out @ state, atol=1e-12)
+        states, readouts = forward_steps(**params.as_dict(), alpha=cfg.alpha, x=x,
+                                         keep_states=True)
+        npt.assert_allclose(h, states, rtol=0, atol=1e-12)
+        npt.assert_allclose(z, readouts, atol=1e-12)
 
     def test_batch_of_one_matches_forward(self):
         # a trial's forward pass alone equals its row in a larger batch

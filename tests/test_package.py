@@ -1,11 +1,13 @@
 """The package root exports exactly the names its documented callers use:
 the README's "Library" example and the acceptance suite. Only ``tensorio``
-writes files."""
+writes files, and the benchmark's reference, which the tests check the
+program against, imports nothing of the program."""
 
 import ast
 import importlib.util
 import pathlib
 import re
+import sys
 
 import ffrnn
 
@@ -62,3 +64,15 @@ def test_only_tensorio_writes_files():
             if name in WRITERS or (name == "open" and set(open_mode(node)) & set("wax+?")):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
     assert found == []
+
+
+def test_reference_imports_no_ffrnn():
+    tree = ast.parse((ROOT / "perfbench" / "reference.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+    allowed = sys.stdlib_module_names | {"numpy"}
+    assert found and [m for m in found if m.split(".")[0] not in allowed] == []

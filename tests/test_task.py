@@ -26,7 +26,8 @@ from ffrnn.task import (
     trial_rng,
 )
 
-from oracles import build_dataset, build_trial, clean_hold_oracle, replay_oracle, split_events
+from oracles import build_dataset, build_trial, replay_oracle, split_events
+from reference import clean_hold_mask
 
 
 def write_targets(events, t_steps, delay_steps, n_bits, pulse_width):
@@ -390,8 +391,8 @@ class TestCleanHoldMask:
     def test_matches_step_by_step_oracle(self, case):
         events, y, config, pad = case
         mask = task._clean_hold_mask(events, y, config, pad)
-        expected = [clean_hold_oracle(triples, y[i], config.pulse_width,
-                                      config.delay_steps, pad)
+        expected = [clean_hold_mask(triples, y[i], config.pulse_width,
+                                    config.delay_steps, pad)
                     for i, triples in enumerate(split_events(events, len(y)))]
         assert mask.dtype == bool
         npt.assert_array_equal(mask, np.stack(expected))

@@ -39,7 +39,8 @@ from ffrnn.training import (
     run_gradcheck,
     train,
 )
-from oracles import bptt_oracle, clean_hold_oracle, split_events, step
+from oracles import bptt_oracle, split_events
+from reference import central_differences, clean_hold_mask, forward_steps, state_accuracy
 
 NO_EVENTS = np.zeros((4, 0), dtype=np.int64)
 
@@ -138,18 +139,11 @@ class TestBpttGradients:
             _, z = batch_forward(p, cfg, x)
             return 0.5 * float(np.sum((z - y) ** 2))
 
-        eps, scale = 1e-6, 2.0 / (6 * 3)
-        flat = params.w_rec.reshape(-1)
-        g_flat = grads.w_rec.reshape(-1)
-        for j in range(0, flat.size, 7):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = half_sum_loss(params)
-            flat[j] = orig - eps
-            lo = half_sum_loss(params)
-            flat[j] = orig
-            fd = (hi - lo) / (2 * eps)
-            npt.assert_allclose(g_flat[j], scale * fd, rtol=1e-4, atol=1e-10)
+        coords = range(0, params.w_rec.size, 7)
+        fd = central_differences(lambda: half_sum_loss(params), params.w_rec,
+                                 coords, eps=1e-6)
+        npt.assert_allclose(grads.w_rec.reshape(-1)[coords], 2.0 / (6 * 3) * fd,
+                            rtol=1e-4, atol=1e-10)
 
     def test_non_finite_input_reported(self):
         cfg = ModelConfig(n_units=3)
@@ -328,13 +322,9 @@ def test_gradients_and_readout_match_oracles(n, t_steps, batch, dt, use_bias, se
     assert_matches_oracle(params, cfg, x, y)
     # the readout the forward GEMM computes, against step-by-step states
     _, z = batch_forward(params, cfg, x)
+    _, zs = forward_steps(**params.as_dict(), alpha=cfg.alpha, x=x)
     for b in range(batch):
-        h = np.zeros(n)
-        zs = []
-        for t in range(t_steps):
-            h = step(params, cfg, h, x[b, t])
-            zs.append(params.w_out @ h + params.b_out)
-        assert np.max(np.abs(z[b] - zs)) <= 1e-12 * np.max(np.abs(zs))
+        assert np.max(np.abs(z[b] - zs[b])) <= 1e-12 * np.max(np.abs(zs[b]))
 
 
 @pytest.fixture
@@ -867,12 +857,12 @@ class TestTrain:
         tail = [generate_trial(cfg, trial_rng(cfg, i)) for i in range(30, 40)]
         y = np.stack([trial.targets for trial in tail])
         _, z = batch_forward(params, mcfg, np.stack([trial.inputs for trial in tail]))
-        mask = np.stack([clean_hold_oracle(trial.events, trial.targets, cfg.pulse_width,
-                                           cfg.delay_steps, 10) for trial in tail])
-        ok = np.all(np.sign(z) == y, axis=2) & mask
-        assert 0 < ok.sum() < mask.sum()
+        masks = [clean_hold_mask(trial.events, trial.targets, cfg.pulse_width,
+                                 cfg.delay_steps, 10) for trial in tail]
+        expected = state_accuracy(z, y, masks)
+        assert 0 < expected < 1
         npt.assert_allclose(report.final_eval.mse, np.mean((z - y) ** 2), rtol=1e-12)
-        assert report.final_eval.state_accuracy == ok.sum() / mask.sum()
+        assert report.final_eval.state_accuracy == expected
 
 
 def latch_params(kappa=1000.0):
@@ -944,8 +934,8 @@ class TestEvaluate:
         ds = generate_dataset(cfg, 60)
         mask = _clean_hold_mask(ds.events, ds.y, cfg, 10)
         for i, events in enumerate(split_events(ds.events, 60)):
-            expected = clean_hold_oracle(events, ds.y[i], cfg.pulse_width,
-                                         cfg.delay_steps, 10)
+            expected = clean_hold_mask(events, ds.y[i], cfg.pulse_width,
+                                       cfg.delay_steps, 10)
             npt.assert_array_equal(mask[i], expected)
         # the events, and so the mask, do not depend on the noise level
         quiet = generate_dataset(dataclasses.replace(cfg, noise_std=0.0), 60)
@@ -1028,12 +1018,11 @@ class TestEvaluate:
         metrics = evaluate(params, mcfg, ds, transition_pad=pad)
         _, z = batch_forward(params, mcfg, ds.x)
         npt.assert_allclose(metrics.mse, np.mean((z - ds.y) ** 2), rtol=1e-12)
-        mask = np.stack([clean_hold_oracle(events, ds.y[i], cfg.pulse_width,
-                                           cfg.delay_steps, pad)
-                         for i, events in enumerate(split_events(ds.events, trials))])
-        assert mask.any()
-        ok = np.all(np.sign(z) == ds.y, axis=2)
-        assert metrics.state_accuracy == (ok & mask).sum() / mask.sum()
+        masks = [clean_hold_mask(events, ds.y[i], cfg.pulse_width, cfg.delay_steps, pad)
+                 for i, events in enumerate(split_events(ds.events, trials))]
+        expected = state_accuracy(z, ds.y, masks)
+        assert expected is not None
+        assert metrics.state_accuracy == expected
 
     @pytest.mark.parametrize("task, model, trials, pad", CHUNK_CASES)
     @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -1111,13 +1100,13 @@ class TestEvaluate:
         npt.assert_equal(dataclasses.astuple(metrics), dataclasses.astuple(serial))
         assert readouts.mse == 0.0
         npt.assert_allclose(metrics.mse, np.mean((z - y) ** 2), rtol=1e-12, atol=0)
-        mask = np.stack([clean_hold_oracle(triples, y[i], 2, 1, 1)
-                         for i, triples in enumerate(split_events(events, trials))])
-        ok = np.all(np.sign(z) == y, axis=2) & mask
-        if mask.any():
-            assert metrics.state_accuracy == ok.sum() / mask.sum()
-        else:
+        masks = [clean_hold_mask(triples, y[i], 2, 1, 1)
+                 for i, triples in enumerate(split_events(events, trials))]
+        expected = state_accuracy(z, y, masks)
+        if expected is None:
             assert math.isnan(metrics.state_accuracy)
+        else:
+            assert metrics.state_accuracy == expected
 
     @pytest.mark.parametrize("n, chunk", [(1, 4096), (8, 512), (32, 128),
                                           (64, 64), (128, 64), (256, 64)])
