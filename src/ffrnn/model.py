@@ -106,14 +106,18 @@ def _check_shapes(params: RnnParams, config: ModelConfig) -> None:
             raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
-def _forward_input(params: RnnParams, config: ModelConfig, x) -> np.ndarray:
-    """``x`` as a float64 array, once the parameter shapes are checked and
-    ``x`` is known to be [batch, t_steps, n_in]."""
+def _forward_input(params: RnnParams, config: ModelConfig, x, y=None) -> tuple:
+    """The one check of a batch: the parameter shapes, x of [batch, t_steps,
+    n_in] and y, if given, of exactly [batch, t_steps, n_out]. Returns
+    (x, y) as arrays at their own dtypes: ``_recurrence`` casts x into its
+    float64 buffer, and the error ufuncs cast y exactly."""
     _check_shapes(params, config)
-    x = np.asarray(x, dtype=float)
+    x, y = np.asarray(x), (None if y is None else np.asarray(y))
     if x.ndim != 3 or x.shape[2] != config.n_in:
         raise ValueError(f"x must be [batch, t, {config.n_in}], got {x.shape}")
-    return x
+    if y is not None and y.shape != x.shape[:2] + (config.n_out,):
+        raise ValueError(f"y must be {x.shape[:2] + (config.n_out,)}, got {y.shape}")
+    return x, y
 
 
 def _buffer(shape: tuple, flat=None) -> np.ndarray:
@@ -189,7 +193,7 @@ def batch_forward(params: RnnParams, config: ModelConfig, x: np.ndarray):
     alive. Non-finite values are returned as they are;
     ``training.bptt_gradients`` checks finiteness once per batch.
     """
-    x = _forward_input(params, config, x)
+    x, _ = _forward_input(params, config, x)
     batch, t_steps, _ = x.shape
     n, n_out = config.n_units, config.n_out
     u = _buffer((t_steps + 2, n_out + n + config.n_in + 1, batch))
@@ -229,14 +233,7 @@ def load_checkpoint(in_dir):
         manifest = json.load(fh)
     if "model" not in manifest:
         raise ValueError(f"{manifest_path}: missing 'model' section")
-    model = manifest["model"]
-    if isinstance(model, dict) and "activation" in model:
-        # written before ModelConfig lost its field that allowed only tanh
-        model = dict(model)
-        activation = model.pop("activation")
-        if activation != "tanh":
-            raise ValueError(f"{manifest_path}: unsupported activation {activation!r}")
-    config = config_from(ModelConfig, model, manifest_path)
+    config = config_from(ModelConfig, manifest["model"], manifest_path)
     w_in = read_tensor(os.path.join(in_dir, "w_in.rnt"))
     w_rec = read_tensor(os.path.join(in_dir, "w_rec.rnt"))
     w_out = read_tensor(os.path.join(in_dir, "w_out.rnt"))

@@ -85,8 +85,8 @@ class Trial:
 
     inputs: np.ndarray
     targets: np.ndarray
-    events: tuple = ()
-    config: TaskConfig | None = None
+    events: tuple
+    config: TaskConfig
 
 
 @dataclass

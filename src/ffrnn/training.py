@@ -300,15 +300,11 @@ def bptt_gradients(params: RnnParams, config: ModelConfig,
     non-finite loss raises a DivergenceError naming the first step with a
     non-finite activation in any chunk, if any; the call waits for every
     chunk first. ``work`` (from ``bptt_workspace``) supplies the buffers;
-    without it they are allocated per call. Returns (grads, batch_loss)
-    where grads mirrors RnnParams.
+    without it they are allocated per call. ``model._forward_input``
+    checks the batch, and one of no trials or steps raises a ValueError
+    too. Returns (grads, batch_loss) where grads mirrors RnnParams.
     """
-    batch_x = np.asarray(batch_x, dtype=float)
-    batch_y = np.asarray(batch_y, dtype=float)
-    if batch_x.ndim != 3 or batch_y.ndim != 3:
-        raise ValueError("batch_x and batch_y must be [batch, t, channels]")
-    if batch_x.shape[:2] != batch_y.shape[:2]:
-        raise ValueError(f"batch shapes differ: {batch_x.shape} vs {batch_y.shape}")
+    batch_x, batch_y = _forward_input(params, config, batch_x, batch_y)
     batch, t_steps, _ = batch_x.shape
     if batch == 0 or t_steps == 0:
         raise ValueError(f"no gradients over an empty batch or sequence: {batch_x.shape}")
@@ -404,7 +400,10 @@ def _bptt_chunk(w: np.ndarray, w_back: np.ndarray, config: ModelConfig,
                     y[first - 1:lo + rows - 1], out=err)
         if lo == 0:
             ring[0, :n_out] = 0.0
-        block_loss = float(np.sum(np.square(err)))   # pairwise summation
+        # an overflow is a DivergenceError below, not a warning; set here, as
+        # a pool thread does not inherit the caller's errstate
+        with np.errstate(over="ignore"):
+            block_loss = float(np.sum(np.square(err)))   # pairwise summation
         # tanh is bounded, so a non-finite activation always makes the loss
         # non-finite; only then are the steps scanned for the first bad one
         if not np.isfinite(block_loss):
@@ -555,7 +554,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
     """MSE over every step plus sign-match accuracy on clean hold steps.
 
     ``data`` is a Dataset, with [4, E] events, or a single Trial, whose
-    triples become such events of trial 0. Accuracy counts the steps where
+    triples become such events of trial 0, checked by
+    ``model._forward_input``. Accuracy counts the steps where
     all channels hold a committed +-1 target, outside the transition window
     of every pulse event (``task._clean_hold_mask``, per chunk), and sign(z)
     equals the target on all channels; it is NaN when no step is a clean
@@ -588,12 +588,9 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
         x, y, events = data.inputs[None], data.targets[None], _event_array(data.events)
     else:
         x, y, events = data.x, data.y, data.events
-    cfg = data.config
-    if cfg is None:
-        raise ValueError("a task config is required to locate transition windows")
     if transition_pad < 0:
         raise ValueError(f"transition_pad must be >= 0, got {transition_pad}")
-    x = _forward_input(params, model_cfg, x)
+    x, y = _forward_input(params, model_cfg, x, y)
 
     trials, t_steps, _ = x.shape
     n = model_cfg.n_units
@@ -607,7 +604,8 @@ def evaluate(params: RnnParams, model_cfg: ModelConfig, data,
 
     def run(lo, hi, flat):
         ys = y[lo:hi]
-        valid = _clean_hold_mask(_events_of(events, lo, hi), ys, cfg, transition_pad)
+        valid = _clean_hold_mask(_events_of(events, lo, hi), ys, data.config,
+                                 transition_pad)
         squared, matched = _forward_chunk(w, model_cfg, x[lo:hi], ys, valid,
                                           _buffer((block + 2, width, hi - lo), flat))
         return squared, matched, int(valid.sum())
@@ -651,8 +649,9 @@ def _forward_chunk(w: np.ndarray, config: ModelConfig, x: np.ndarray,
         ok &= valid_rows[t + first - 2:t + last - 2]
         matched += int(np.count_nonzero(ok))
         np.subtract(z, ys, out=z)
-        np.square(z, out=z)
-        squared += float(np.sum(z))
+        with np.errstate(over="ignore"):   # an infinite mse, as in _bptt_chunk
+            np.square(z, out=z)
+            squared += float(np.sum(z))
         u[0, n_out:n_out + n] = u[k, n_out:n_out + n]
     return squared, matched
 

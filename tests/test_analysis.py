@@ -52,7 +52,7 @@ def synthetic_projection_and_probe(rotate=None, scale=1.0, jitter=0.0,
         sl = slice(k * hold, (k + 1) * hold)
         targets[sl] = label
         points[sl] = vertices[k] + jitter * rng.gen.normal(size=(hold, 3))
-    probe = Trial(inputs=np.zeros((t_steps, 3)), targets=targets,
+    probe = Trial(inputs=np.zeros((t_steps, 3)), targets=targets, events=(),
                   config=TaskConfig())
     projection = ProjectionResult(points=points, labels=state_codes(targets),
                                   explained_variance_ratio=np.ones(3) / 3,
@@ -93,7 +93,7 @@ class TestCollectAndProject:
         cfg = ModelConfig(n_units=10)
         params = init_params(cfg, SeededRng(3))
         trial = Trial(inputs=np.zeros((100, 3)), targets=np.zeros((100, 3)),
-                      config=TaskConfig())
+                      events=(), config=TaskConfig())
         result = collect_and_project(params, cfg, trial)
         npt.assert_array_equal(result.explained_variance_ratio, 0.0)
         npt.assert_allclose(result.points, 0.0, atol=1e-12)
@@ -235,7 +235,8 @@ class TestMemoryStatesOracle:
     @given(targets=TARGETS, margin=st.integers(0, 15))
     def test_drawn_targets(self, targets, margin):
         assume(len(targets))
-        probe = Trial(inputs=np.zeros(targets.shape), targets=targets, config=TaskConfig())
+        probe = Trial(inputs=np.zeros(targets.shape), targets=targets, events=(),
+                      config=TaskConfig())
         prefix = int(np.argmax(state_codes(targets) >= 0))
         points = SeededRng(len(targets)).gen.normal(size=(len(targets) - prefix, 3))
         projection = ProjectionResult(points=points, labels=state_codes(targets)[prefix:],

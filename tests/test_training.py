@@ -692,6 +692,41 @@ def tiny_dataset(samples=12, seed=31):
     return generate_dataset(cfg, samples)
 
 
+# one array of a batch of the wrong shape: how each is made from a valid
+# (params, x, y), and the start of the ValueError, which names the array
+MISMATCHES = {
+    "x-channels": (lambda p, x, y: (p, x[..., :1], y), "x must"),
+    "y-channels": (lambda p, x, y: (p, x, y[..., :1]), "y must"),
+    "y-steps": (lambda p, x, y: (p, x, y[:, :-1]), "y must"),
+    "y-trials": (lambda p, x, y: (p, x, y[:1]), "y must"),
+    "w_in-shape": (lambda p, x, y: (dataclasses.replace(p, w_in=p.w_in.T.copy()), x, y),
+                   "w_in has shape"),
+}
+PASSES = {
+    "batch_forward": lambda p, cfg, x, y, ds: batch_forward(p, cfg, x),
+    "bptt_gradients": lambda p, cfg, x, y, ds: bptt_gradients(p, cfg, x, y),
+    "evaluate-dataset": lambda p, cfg, x, y, ds: evaluate(
+        p, cfg, Dataset(x, y, ds.config, ds.events)),
+    "evaluate-trial": lambda p, cfg, x, y, ds: evaluate(
+        p, cfg, Trial(x[0], y[0], (), ds.config)),
+}
+
+
+# batch_forward takes no targets, and a Trial is one trial by construction
+@pytest.mark.parametrize("mismatch, run", [
+    (mismatch, run) for mismatch in MISMATCHES for run in PASSES
+    if not (run == "batch_forward" and mismatch.startswith("y-")
+            or run == "evaluate-trial" and mismatch == "y-trials")])
+def test_every_pass_refuses_a_mismatched_batch(mismatch, run):
+    # a mismatched array is refused, never broadcast: the passes share one check
+    ds = tiny_dataset(samples=4)
+    cfg = ModelConfig(n_units=4)
+    make, message = MISMATCHES[mismatch]
+    params, x, y = make(init_params(cfg, SeededRng(26)), ds.x, ds.y)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        PASSES[run](params, cfg, x, y, ds)
+
+
 def hand_batches(cfg, n_train):
     """The sample indices of every update of ``train``, in order: each
     epoch's permutation, as ``train`` draws it, cut into batches."""
@@ -758,7 +793,7 @@ class TestTrain:
         ds = tiny_dataset()
         mcfg = ModelConfig(n_units=4)
         params = init_params(mcfg, SeededRng(22))
-        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as info:
             train(params, mcfg, ds,
                   TrainConfig(epochs=epochs, batch_size=16, learning_rate=1e300, seed=23))
         assert info.value.epoch == epochs - 1
@@ -792,6 +827,19 @@ class TestTrain:
         train(params, mcfg, ds, TrainConfig(epochs=3, batch_size=6, seed=25),
               epoch_hook=lambda e, p, l: seen.append(e))
         assert seen == [0, 1, 2]
+
+    def test_mismatched_dataset_refused_before_the_first_epoch(self):
+        # 1-bit inputs for a 3-input model are refused on the first batch,
+        # not trained on broadcast
+        cfg = TaskConfig(n_bits=1, t_steps=60, delay_steps=5, pulse_width=4,
+                         min_gap=8, max_gap=20, seed=31)
+        mcfg = ModelConfig(n_units=4)
+        seen = []
+        with pytest.raises(ValueError, match=r"^x must be \[batch, t, 3\]"):
+            train(init_params(mcfg, SeededRng(24)), mcfg, generate_dataset(cfg, 12),
+                  TrainConfig(epochs=3, batch_size=6, seed=25),
+                  epoch_hook=lambda e, p, l: seen.append(e))
+        assert seen == []
 
     def test_matches_hand_loop_with_annealed_rate(self):
         ds = tiny_dataset()
